@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -177,20 +177,68 @@ class MultilinearPolynomial:
 # Transforms
 # ---------------------------------------------------------------------------
 
+#: Points per cache block of the butterfly: 2**16 doubles (512 KiB) plus
+#: half that in scratch stay resident in a 4 MiB L2 cache.
+_BLOCK = 1 << 16
+
+
+def _levels(a: np.ndarray, scratch: np.ndarray, h: int) -> None:
+    """Butterfly levels h, 2h, ... below a.size, in place on flat ``a``."""
+    half = a.size // 2
+    while h < a.size:
+        b = a.reshape(-1, 2, h)
+        x = scratch[:half].reshape(-1, h)
+        np.copyto(x, b[:, 0, :])
+        b[:, 0, :] += b[:, 1, :]
+        np.subtract(x, b[:, 1, :], out=b[:, 1, :])
+        h <<= 1
+
+
 def _butterfly(a: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly, O(n * 2**n).
 
-    Computes ``out[S] = sum_i (-1)**popcount(i & S) * a[i]``.
+    Computes ``out[S] = sum_i (-1)**popcount(i & S) * a[i]``.  The levels
+    with ``h`` below :data:`_BLOCK` run one cache block at a time; the
+    remaining levels run on column strips of the ``(rows, _BLOCK)`` grid,
+    copied into the same scratch buffer.  Every element sees the same
+    ``x + y`` and ``x - y`` in the same level order as a plain level loop,
+    so the result is bit-identical to it.
     """
     size = a.size
-    h = 1
-    while h < size:
-        b = a.reshape(-1, 2, h)
-        x = b[:, 0, :].copy()
-        b[:, 0, :] += b[:, 1, :]
-        b[:, 1, :] = x - b[:, 1, :]
-        h <<= 1
+    block = min(size, _BLOCK)
+    scratch = np.empty(block + block // 2, dtype=a.dtype)
+    strip, spare = scratch[:block], scratch[block:]
+    for start in range(0, size, block):
+        _levels(a[start:start + block], spare, 1)
+    rows = size // block  # at most block, since size <= 2**MAX_N
+    if rows > 1:
+        grid = a.reshape(rows, block)
+        width = block // rows
+        cols = strip.reshape(rows, width)
+        for c in range(0, block, width):
+            np.copyto(cols, grid[:, c:c + width])
+            _levels(strip, spare, width)
+            grid[:, c:c + width] = cols
     return a
+
+
+def _spectrum(a: np.ndarray, n: int) -> MultilinearPolynomial:
+    """Coefficients of the table held in ``a`` (overwritten), pruned."""
+    _butterfly(a)
+    a /= 1 << n
+    coeffs = {}
+    # ~(|c| <= tol) keeps NaN, so an overflowed transform fails loudly.
+    for mask in np.nonzero(~(np.abs(a) <= PRUNE_TOL))[0]:
+        coeffs[int(mask)] = float(a[mask])
+    return MultilinearPolynomial(n, coeffs)
+
+
+def _values(poly: MultilinearPolynomial) -> np.ndarray:
+    """Fresh float array of the polynomial on all 2**n points."""
+    a = np.zeros(1 << poly.n, dtype=np.float64)
+    for mask, value in poly.coeffs.items():
+        a[mask] = float(value)
+    return _butterfly(a)
 
 
 def wht(table: TruthTable) -> MultilinearPolynomial:
@@ -200,12 +248,7 @@ def wht(table: TruthTable) -> MultilinearPolynomial:
     coefficients are expectations.  Coefficients with absolute value at
     most :data:`PRUNE_TOL` are dropped.
     """
-    a = _butterfly(table.values.astype(np.float64))
-    a /= 1 << table.n
-    coeffs = {}
-    for mask in np.nonzero(np.abs(a) > PRUNE_TOL)[0]:
-        coeffs[int(mask)] = float(a[mask])
-    return MultilinearPolynomial(table.n, coeffs)
+    return _spectrum(table.values.astype(np.float64), table.n)
 
 
 def inverse_wht(poly: MultilinearPolynomial) -> TruthTable:
@@ -214,10 +257,7 @@ def inverse_wht(poly: MultilinearPolynomial) -> TruthTable:
     Exact rational coefficients are converted to floats here; this is
     the single exact-to-float boundary of the package.
     """
-    a = np.zeros(1 << poly.n, dtype=np.float64)
-    for mask, value in poly.coeffs.items():
-        a[mask] = float(value)
-    return TruthTable(poly.n, _butterfly(a))
+    return TruthTable(poly.n, _values(poly))
 
 
 def evaluate(poly: MultilinearPolynomial, point) -> Real:
@@ -371,24 +411,28 @@ def sub(f: MultilinearPolynomial, g: MultilinearPolynomial) -> MultilinearPolyno
     return MultilinearPolynomial(f.n, coeffs)
 
 
-def mul(f: MultilinearPolynomial, g: MultilinearPolynomial,
-        via: str = "coeffs") -> MultilinearPolynomial:
+def mul(f: MultilinearPolynomial, g: MultilinearPolynomial) -> MultilinearPolynomial:
     """Product f*g as a function on {-1,+1}^n.
 
-    ``via="coeffs"`` convolves coefficients over the symmetric difference
-    of masks (x_i**2 = 1), preserving exact rationals.  ``via="table"``
-    multiplies dense tables pointwise and transforms back; the two paths
-    agree within 1e-10 and the table path is the reference.
+    Two equivalent computations; the cheaper one is picked from the
+    inputs.  When every coefficient is exact (``Fraction`` or ``int``),
+    or when ``terms(f) * terms(g) <= 2**n``, coefficients are convolved
+    over the symmetric difference of masks (x_i**2 = 1), which keeps
+    exact rationals exact.  Otherwise the product is taken pointwise on
+    the dense tables, ``wht(inverse_wht(f) * inverse_wht(g))``, in
+    O(n * 2**n); its float coefficients follow the transform's rule and
+    are dropped at or below :data:`PRUNE_TOL`.
     """
     _require_same_n(f, g)
-    if via == "coeffs":
+    exact = all(isinstance(v, Rational)
+                for poly in (f, g) for v in poly.coeffs.values())
+    if exact or len(f.coeffs) * len(g.coeffs) <= 1 << f.n:
         coeffs = {}
         for m1, v1 in f.coeffs.items():
             for m2, v2 in g.coeffs.items():
                 mask = m1 ^ m2
                 coeffs[mask] = coeffs.get(mask, 0) + v1 * v2
         return MultilinearPolynomial(f.n, coeffs)
-    if via == "table":
-        ft, gt = inverse_wht(f), inverse_wht(g)
-        return wht(TruthTable(f.n, ft.values * gt.values))
-    raise ValueError(f"unknown multiplication path {via!r}")
+    table = _values(f)
+    table *= _values(g)
+    return _spectrum(table, f.n)

@@ -52,7 +52,11 @@ def _looks_like_table(text: str) -> bool:
 
 
 def _load_function(source: str, declared_n: int | None):
-    """Resolve a --f/--g source to (poly, table) views."""
+    """Resolve a --f/--g source to (poly, table); table is None for expressions.
+
+    A table file keeps the table it was parsed into; a dense table for an
+    expression is built only by the answers that read one.
+    """
     if source.startswith("@"):
         with open(source[1:], "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -62,10 +66,8 @@ def _load_function(source: str, declared_n: int | None):
                 raise funcdsl.ParseError(
                     f"table has n={table.n}, --n says {declared_n}")
             return boolfn.wht(table), table
-        poly = funcdsl.parse_poly(text, declared_n)
-    else:
-        poly = funcdsl.parse_poly(source, declared_n)
-    return poly, boolfn.inverse_wht(poly)
+        return funcdsl.parse_poly(text, declared_n), None
+    return funcdsl.parse_poly(source, declared_n), None
 
 
 def _load_pair(args) -> channels.WiretapSpec:
@@ -73,23 +75,14 @@ def _load_pair(args) -> channels.WiretapSpec:
     g_poly, g_table = _load_function(args.g, args.n)
     n = max(f_poly.n, g_poly.n)
     if f_poly.n != n:
-        f_poly = f_poly.with_n(n)
-        f_table = boolfn.inverse_wht(f_poly)
+        f_poly, f_table = f_poly.with_n(n), None
     if g_poly.n != n:
-        g_poly = g_poly.with_n(n)
+        g_poly, g_table = g_poly.with_n(n), None
+    if f_table is None:
+        f_table = boolfn.inverse_wht(f_poly)
+    if g_table is None:
         g_table = boolfn.inverse_wht(g_poly)
     return channels.WiretapSpec(f_table, g_table, f_poly, g_poly)
-
-
-def _resolve_psi_c4(args):
-    name = args.psi
-    if name not in invariance.PSI_CATALOG:
-        raise ValueError(
-            f"unknown test function {name!r}; "
-            f"choices: {sorted(invariance.PSI_CATALOG)}")
-    tf = invariance.PSI_CATALOG[name]
-    c4 = tf.c4 if args.C is None else args.C
-    return tf, c4
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +91,8 @@ def _resolve_psi_c4(args):
 
 def _cmd_analyze(args):
     poly, table = _load_function(args.f, args.n)
+    if table is None:
+        table = boolfn.inverse_wht(poly)
     profile = boolfn.influence_profile(poly)
     terms = []
     for mask in sorted(poly.coeffs, key=lambda m: (m.bit_count(), m)):
@@ -166,11 +161,12 @@ def _cmd_commute(args):
 
 
 def _cmd_invariance(args):
-    tf, c4 = _resolve_psi_c4(args)
-    f_poly, _ = _load_function(args.f, args.n)
+    tf = invariance._resolve_psi(args.psi)
+    c4 = tf.c4 if args.C is None else args.C
     bounds_info = {"C": c4}
 
     if args.g is None:
+        f_poly, _ = _load_function(args.f, args.n)
         target = f_poly
         mode = "single"
         eps = boolfn.max_influence(f_poly)

@@ -122,3 +122,40 @@ def brute_commutes(f_values, g_values) -> bool:
     for fv, gv in zip(f_values, g_values):
         fibers.setdefault(fv, set()).add(gv)
     return all(len(us) == 1 for us in fibers.values())
+
+
+def reference_butterfly(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard butterfly as a plain loop over levels, in place.
+
+    Level h maps each pair (x, y) = (a[i], a[i + h]) to (x + y, x - y);
+    the package's blocked butterfly must match it bit for bit.
+    """
+    h = 1
+    while h < a.size:
+        b = a.reshape(-1, 2, h)
+        x = b[:, 0, :].copy()
+        b[:, 0, :] += b[:, 1, :]
+        b[:, 1, :] = x - b[:, 1, :]
+        h <<= 1
+    return a
+
+
+def convolve_coeffs(f: dict, g: dict) -> dict:
+    """Coefficients of f*g by convolution over mask symmetric differences."""
+    out = {}
+    for m1, v1 in f.items():
+        for m2, v2 in g.items():
+            out[m1 ^ m2] = out.get(m1 ^ m2, 0) + v1 * v2
+    return {mask: v for mask, v in out.items() if v != 0}
+
+
+def brute_product_coeffs(f: dict, g: dict, n: int) -> dict:
+    """Fourier coefficients of the pointwise product f(x)*g(x), enumerated."""
+    values = [eval_poly_at(f, p) * eval_poly_at(g, p) for p in all_points(n)]
+    out = {}
+    for mask in range(1 << n):
+        total = Fraction(0)
+        for index, value in enumerate(values):
+            total += -value if (index & mask).bit_count() & 1 else value
+        out[mask] = total / (1 << n)
+    return out

@@ -25,13 +25,17 @@ from compwiretap import (
     variance,
     wht,
 )
+from compwiretap import boolfn
 from helpers import (
+    brute_product_coeffs,
     chain_pair_polys,
+    convolve_coeffs,
     eval_poly_at,
     maj3_poly,
     maj3_table,
     random_boolean_table,
     random_rational_poly,
+    reference_butterfly,
     zchannel_f_poly,
     zchannel_g_poly,
 )
@@ -254,18 +258,62 @@ def test_zchannel_product_distribution():
 
 
 def test_mul_paths_agree():
+    # dense float pairs take the transform path; a one-term f with a
+    # dense g (terms(f)*terms(g) = 2**n) takes convolution
     rng = np.random.default_rng(11)
-    for _ in range(20):
+    for i in range(20):
         n = int(rng.integers(1, 7))
         f = wht(TruthTable(n, rng.standard_normal(1 << n)))
         g = wht(TruthTable(n, rng.standard_normal(1 << n)))
-        via_coeffs = mul(f, g, via="coeffs")
-        via_table = mul(f, g, via="table")
-        masks = set(via_coeffs.coeffs) | set(via_table.coeffs)
-        for mask in masks:
-            a = float(via_coeffs.coeffs.get(mask, 0.0))
-            b = float(via_table.coeffs.get(mask, 0.0))
+        if i % 2:
+            f = MultilinearPolynomial(n, {(1 << n) - 1: 0.75})
+        product = mul(f, g)
+        expected = brute_product_coeffs(f.coeffs, g.coeffs, n)
+        for mask in set(product.coeffs) | set(expected):
+            a = float(product.coeffs.get(mask, 0.0))
+            b = float(expected.get(mask, 0))
             assert abs(a - b) <= 1e-10
+
+
+def test_mul_exact_inputs_stay_exact():
+    # dense exact inputs, terms(f)*terms(g) > 2**n: still convolved exactly
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        f = random_rational_poly(rng, n, max_terms=1 << n)
+        g = random_rational_poly(rng, n, max_terms=1 << n)
+        product = mul(f, g)
+        assert all(isinstance(v, Fraction) for v in product.coeffs.values())
+        expected = brute_product_coeffs(f.coeffs, g.coeffs, n)
+        assert product.coeffs == {m: v for m, v in expected.items() if v}
+
+
+def test_mul_dense_boolean_pair_matches_convolution(monkeypatch):
+    rng = np.random.default_rng(13)
+    f = wht(random_boolean_table(rng, 10))
+    g = wht(random_boolean_table(rng, 10))
+    calls = []
+    butterfly = boolfn._butterfly
+    monkeypatch.setattr(boolfn, "_butterfly",
+                        lambda a: calls.append(a.size) or butterfly(a))
+    product = mul(f, g)
+    assert calls == [1 << 10] * 3  # two tables and one spectrum
+    assert product.coeffs == convolve_coeffs(f.coeffs, g.coeffs)
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), 18])
+def test_butterfly_matches_level_loop(n):
+    a = np.random.default_rng(n).standard_normal(1 << n)
+    assert np.array_equal(boolfn._butterfly(a.copy()), reference_butterfly(a))
+
+
+@pytest.mark.parametrize("block, max_n", [(4, 4), (32, 10)])
+def test_butterfly_small_blocks(monkeypatch, block, max_n):
+    # up to block rows of blocks, down to column strips of width 1
+    monkeypatch.setattr(boolfn, "_BLOCK", block)
+    for n in range(1, max_n + 1):
+        a = np.random.default_rng(n).standard_normal(1 << n)
+        assert np.array_equal(boolfn._butterfly(a.copy()), reference_butterfly(a))
 
 
 def test_dimension_mismatch():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from compwiretap import boolfn, channels, funcdsl, invariance
 from compwiretap.cli import main
 
 MAJ3 = "1/2*(x1 + x2 + x3 - x1*x2*x3)"
@@ -165,6 +166,46 @@ def test_invariance_precondition_exits_2(capsys):
                  "--samples", "20000"])
     assert code == 2
     assert "precondition" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Count calls of function ``name`` through every listed module."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_invariance_single_builds_one_table(monkeypatch, capsys):
+    tables = _count_calls(monkeypatch, "inverse_wht",
+                          [boolfn, channels, invariance])
+    code, _ = run_json(capsys, [
+        "invariance", "--f", MAJ3, "--samples", "2000"])
+    assert code == 0
+    assert len(tables) == 1
+
+
+def test_invariance_pair_parses_each_source_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g.csv"
+    path.write_text("# n=2\nindex,value\n0,1\n1,-1\n2,-1\n3,1\n")
+    polys = _count_calls(monkeypatch, "parse_poly", [funcdsl])
+    tables = _count_calls(monkeypatch, "parse_table", [funcdsl])
+    code, report = run_json(capsys, [
+        "invariance", "--f", "x1*x2", "--g", f"@{path}", "--samples", "2000"])
+    assert code == 0 and report["mode"] == "multiplicative"
+    assert len(polys) == 1 and len(tables) == 1
+
+
+def test_invariance_unknown_psi_exits_1(capsys):
+    assert main(["invariance", "--f", MAJ3, "--psi", "tan"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown test function 'tan'; choices: [")
 
 
 def test_too_few_samples_exits_2(capsys):

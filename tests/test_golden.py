@@ -1,0 +1,81 @@
+"""Byte-for-byte comparison of CLI stdout against frozen outputs.
+
+Each case runs ``compwiretap.cli.main`` on fixed arguments and compares
+its exit code and stdout with ``tests/golden/<case>.out``.  The inputs
+are the README examples and the table files next to the outputs: a ±1
+pair at n=8 (``pm8_f.json``, ``pm8_g.csv``) and a real-valued table at
+n=6 (``real6.csv``).  A change to any answer shows up as a diff here.
+
+To refresh the outputs after a deliberate, documented change::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from compwiretap.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+MAJ3 = "1/2*(x1 + x2 + x3 - x1*x2*x3)"
+ZCHAN_F = "x1*x2*x3"
+ZCHAN_G = "1/4*(1 - x1 - x2 - x3 + x1*x2 + x1*x3 + x2*x3 + 3*x1*x2*x3)"
+PM8_F = f"@{GOLDEN / 'pm8_f.json'}"
+PM8_G = f"@{GOLDEN / 'pm8_g.csv'}"
+REAL6 = f"@{GOLDEN / 'real6.csv'}"
+SAMPLES = ["--samples", "10000"]
+
+# case name -> (argv, exit code)
+CASES = {
+    "readme_analyze": (["analyze", "--f", MAJ3], 0),
+    "readme_channel": (["channel", "--f", ZCHAN_F, "--g", ZCHAN_G], 0),
+    "readme_channel_pretty": (
+        ["channel", "--f", ZCHAN_F, "--g", ZCHAN_G, "--format", "pretty"], 0),
+    "readme_commute": (["commute", "--f", "x1 + 2*x2 + 4*x3", "--g", "x1*x2"], 0),
+    "readme_invariance": (
+        ["invariance", "--f", MAJ3, "--psi", "cos", "--seed", "0", *SAMPLES], 0),
+    "readme_lemmas": (
+        ["lemmas", "--f", "1/8*(x1*x2 + x2*x3)", "--g", "1/8*(x1 + x2 + x3)"], 0),
+    "readme_moments": (["moments", "--dist", "gaussian", "--samples", "100000"], 0),
+    "pm8_analyze_f": (["analyze", "--f", PM8_F], 0),
+    "pm8_analyze_g": (["analyze", "--f", PM8_G], 0),
+    "pm8_channel": (["channel", "--f", PM8_F, "--g", PM8_G], 0),
+    "pm8_commute": (["commute", "--f", PM8_F, "--g", PM8_G], 0),
+    "pm8_lemmas": (["lemmas", "--f", PM8_F, "--g", PM8_G], 0),
+    "pm8_lemmas_csv": (["lemmas", "--f", PM8_F, "--g", PM8_G, "--format", "csv"], 0),
+    "pm8_invariance": (
+        ["invariance", "--f", PM8_F, "--g", PM8_G, "--psi", "sin",
+         "--seed", "1", *SAMPLES], 0),
+    "real6_analyze": (["analyze", "--f", REAL6], 0),
+    "real6_invariance": (
+        ["invariance", "--f", REAL6, "--psi", "quartic", "--seed", "2", *SAMPLES], 0),
+    "real6_channel_lifted": (["channel", "--f", REAL6, "--g", "x1*x7"], 0),
+    "real6_invariance_additive": (
+        ["invariance", "--f", REAL6, "--g", "1/8*(x1 + x8)", "--psi", "cos",
+         "--seed", "3", *SAMPLES], 0),
+}
+
+
+def run_case(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    argv, expected_code = CASES[name]
+    code, stdout = run_case(argv)
+    assert code == expected_code
+    assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for case, (case_argv, _) in sorted(CASES.items()):
+        _, text = run_case(case_argv)
+        (GOLDEN / f"{case}.out").write_text(text, encoding="utf-8")

@@ -209,6 +209,28 @@ def test_gaussian_mc_determinism():
     assert first != other_seed
 
 
+@pytest.mark.parametrize("shift", [1e6, 1e8])
+def test_gaussian_mc_stderr_large_mean(shift):
+    # F = c + 1e-3*x1 has the stderr of 1e-3*x1 alone; a raw
+    # sum-of-squares variance cancels to 0 or noise at these shifts
+    samples = 200_000
+    _, centred = expect_gaussian_mc(
+        MultilinearPolynomial(1, {1: 1e-3}), "identity", samples, seed=1)
+    _, shifted = expect_gaussian_mc(
+        MultilinearPolynomial(1, {0: shift, 1: 1e-3}), "identity", samples,
+        seed=1)
+    assert abs(centred / (1e-3 / math.sqrt(samples)) - 1) <= 0.01
+    assert abs(shifted / centred - 1) <= 1e-3
+
+
+def test_bare_callable_psi():
+    poly = maj3_poly()
+    report = verify_invariance(poly, np.cos, 91.125, samples=20_000)
+    assert report.psi == "cos"
+    assert report.lhs == expect_exact(poly, "cos")
+    assert report.rhs == expect_gaussian_mc(poly, "cos", 20_000)[0]
+
+
 def test_gaussian_chunks_are_per_index():
     # the sample at a given index does not depend on the chunking
     whole = _gaussian_chunk(42, 4, 0, 128)
