@@ -74,6 +74,7 @@ from .invariance import (
     lemma_suite,
     multiplicative_bound,
     verify_invariance,
+    verify_invariance_many,
 )
 
 __version__ = "0.1.0"

@@ -62,16 +62,27 @@ class TruthTable:
 
     def __post_init__(self):
         _check_n(self.n)
-        values = np.asarray(self.values, dtype=np.float64)
+        # A private copy: the caller keeps ownership of its array.
+        self._own(np.array(self.values, dtype=np.float64))
+
+    def _own(self, values: np.ndarray) -> None:
+        """Validate a float64 array and keep it, read-only, as the values."""
         if values.shape != (1 << self.n,):
             raise ValueError(
                 f"expected {1 << self.n} values for n={self.n}, "
                 f"got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("table values must be finite")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _adopt(cls, n: int, values: np.ndarray) -> "TruthTable":
+        """Table over a fresh float64 array that no one else holds (no copy)."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "n", n)
+        table._own(values)
+        return table
 
     @classmethod
     def from_values(cls, values) -> "TruthTable":
@@ -257,7 +268,7 @@ def inverse_wht(poly: MultilinearPolynomial) -> TruthTable:
     Exact rational coefficients are converted to floats here; this is
     the single exact-to-float boundary of the package.
     """
-    return TruthTable(poly.n, _values(poly))
+    return TruthTable._adopt(poly.n, _values(poly))
 
 
 def evaluate(poly: MultilinearPolynomial, point) -> Real:
@@ -282,26 +293,74 @@ def evaluate(poly: MultilinearPolynomial, point) -> Real:
     return total
 
 
+#: Rows per block of :func:`evaluate_batch`; fewer when the memoised
+#: monomials of a block would exceed :data:`_MEMO_POINTS` values (32 MiB).
+_EVAL_ROWS = 1 << 12
+_MEMO_POINTS = 1 << 22
+
+
+def _monomial_plan(poly: MultilinearPolynomial) -> tuple:
+    """Slots and steps that evaluate every term of ``poly`` in dict order.
+
+    Slot ``j < n`` is column ``j``; every monomial of degree >= 2 gets a
+    memo slot, filled as its parent (the mask without its highest bit)
+    times its highest column before first use.  A step is
+    ``(dst, parent, column)`` for a product, or ``(None, slot, value)``
+    for adding ``value * monomial`` to the output (slot ``None`` is the
+    constant term).
+    """
+    n = poly.n
+    slot = {1 << j: j for j in range(n)}
+    steps = []
+
+    def memo(mask):
+        if mask not in slot:
+            high = mask.bit_length() - 1
+            parent = mask ^ (1 << high)
+            memo(parent)
+            slot[mask] = len(slot)
+            steps.append((slot[mask], slot[parent], high))
+
+    for mask, value in poly.coeffs.items():
+        if mask:
+            memo(mask)
+        steps.append((None, slot.get(mask), float(value)))
+    return len(slot) - n, steps
+
+
 def evaluate_batch(poly: MultilinearPolynomial, points: np.ndarray) -> np.ndarray:
-    """Evaluate the polynomial at a (m, n) matrix of real points."""
+    """Evaluate the polynomial at a (m, n) matrix of real points.
+
+    Runs over blocks of rows.  Within a block each monomial is its
+    parent times one column, so a product is still taken lowest variable
+    first, and ``value * monomial`` is added to the output in coefficient
+    order: the result is the same, bit for bit, as multiplying out each
+    term on its own.  Columns are read as rows of ``points.T``, which is
+    contiguous for a coordinate-major matrix.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != poly.n:
         raise ValueError(
             f"expected a (m, {poly.n}) point matrix, got {points.shape}")
-    out = np.zeros(points.shape[0], dtype=np.float64)
-    for mask, value in poly.coeffs.items():
-        if mask == 0:
-            out += float(value)
-            continue
-        m = mask
-        j = (m & -m).bit_length() - 1
-        term = points[:, j].copy()
-        m &= m - 1
-        while m:
-            j = (m & -m).bit_length() - 1
-            term *= points[:, j]
-            m &= m - 1
-        out += float(value) * term
+    m = points.shape[0]
+    out = np.zeros(m, dtype=np.float64)
+    memo_slots, steps = _monomial_plan(poly)
+    rows = max(1, min(m, _EVAL_ROWS, _MEMO_POINTS // max(memo_slots, 1)))
+    memo = np.empty((memo_slots, rows), dtype=np.float64)
+    scratch = np.empty(rows, dtype=np.float64)
+    cols = points.T
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        vectors = [*cols[:, r0:r1], *memo[:, :r1 - r0]]
+        acc, term = out[r0:r1], scratch[:r1 - r0]
+        for dst, a, b in steps:
+            if dst is not None:
+                np.multiply(vectors[a], vectors[b], out=vectors[dst])
+            elif a is None:
+                acc += b
+            else:
+                np.multiply(vectors[a], b, out=term)
+                acc += term
     return out
 
 

@@ -183,13 +183,17 @@ def _cmd_invariance(args):
         both_boolean = (boolfn.is_boolean_valued(spec.f_table)
                         and boolfn.is_boolean_valued(spec.g_table))
         if both_boolean:
+            # The spec's tables settle the ±1 precondition, and the
+            # product is built once for the noise and the variant's k.
             mode = "multiplicative"
             target = boolfn.mul(f_poly, g_poly)
-            bound = invariance.multiplicative_bound(f_poly, g_poly, c4)
-            variant = invariance.multiplicative_bound(
-                f_poly, g_poly, c4, use_product_degree=True)
             k_factor = boolfn.degree(f_poly) * boolfn.degree(g_poly)
             k_product = boolfn.degree(target)
+            bound = invariance._multiplicative_formula(
+                f_poly, g_poly, c4,
+                max(boolfn.degree(f_poly), 1) * max(boolfn.degree(g_poly), 1))
+            variant = invariance._multiplicative_formula(
+                f_poly, g_poly, c4, max(k_product, 1))
             bounds_info.update({
                 "kind": "multiplicative",
                 "k_factor_degrees": k_factor,

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -297,6 +296,13 @@ def multiplicative_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
         k = max(degree(mul(f, g)), 1)
     else:
         k = _degree_at_least_one(f) * _degree_at_least_one(g)
+    return _multiplicative_formula(f, g, c4, k)
+
+
+def _multiplicative_formula(f: MultilinearPolynomial, g: MultilinearPolynomial,
+                            c4, k: int) -> float:
+    """(C/3) * k * l * 9**k * eps for ±1-valued f, g (not checked here)."""
+    _check_c4(c4)
     l = term_count(f) * term_count(g)
     eps = _pair_epsilon(f, g)
     return float(_frac(c4) * Fraction(k * l * 9 ** k, 3) * eps)
@@ -320,31 +326,115 @@ def expect_exact(poly: MultilinearPolynomial, psi) -> float:
 # number of workers) with bit-identical results.
 
 _CHUNK = 1 << 16
+#: Rows per block of generation: a block's mixing state (two n x 2**11
+#: uint64 buffers) stays in cache while it runs through every step.
+_GEN_ROWS = 1 << 11
 _K_INDEX = 0x9E3779B97F4A7C15
 _K_COORD = 0xC2B2AE3D27D4EB4F
 _K_SEED = 0xD6E8FEB86659FD93
 _MASK64 = (1 << 64) - 1
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64 finaliser, in place on ``z``; ``scratch`` has its shape."""
+    for shift, factor in _MIX:
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= factor
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
-@lru_cache(maxsize=32)
 def _gaussian_chunk(seed: int, n: int, start: int, length: int) -> np.ndarray:
-    """Standard-Gaussian block for sample indices [start, start+length)."""
-    idx = np.arange(start, start + length, dtype=np.uint64)[:, None]
-    coord = np.arange(n, dtype=np.uint64)[None, :]
-    base = np.uint64((seed * _K_SEED) & _MASK64)
-    z = idx * np.uint64(_K_INDEX) + coord * np.uint64(_K_COORD) + base
-    z = _mix64(z)
-    z = _mix64(z + np.uint64(_K_INDEX))
-    uniform = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    gauss = ndtri(uniform)
-    gauss.flags.writeable = False
-    return gauss
+    """Standard-Gaussian block for sample indices [start, start+length).
+
+    Returns a (length, n) view of a coordinate-major array, so each
+    coordinate is one contiguous row for :func:`evaluate_batch`.  Rows
+    are generated :data:`_GEN_ROWS` at a time, in place on one uint64
+    block and one scratch buffer, and the normal quantile is written
+    straight into the result.  The integer steps are exact and the
+    float steps act element by element, so the values do not depend on
+    the blocking.
+    """
+    gauss = np.empty((n, length), dtype=np.float64)
+    coord = (np.arange(n, dtype=np.uint64)[:, None] * np.uint64(_K_COORD)
+             + np.uint64((seed * _K_SEED) & _MASK64))
+    rows = max(1, min(_GEN_ROWS, length))
+    z = np.empty((n, rows), dtype=np.uint64)
+    scratch = np.empty_like(z)
+    for r0 in range(0, length, rows):
+        r1 = min(r0 + rows, length)
+        zb, sb = z[:, :r1 - r0], scratch[:, :r1 - r0]
+        idx = np.arange(start + r0, start + r1, dtype=np.uint64)
+        np.add(idx * np.uint64(_K_INDEX), coord, out=zb)
+        _mix64(zb, sb)
+        zb += np.uint64(_K_INDEX)
+        _mix64(zb, sb)
+        zb >>= np.uint64(11)
+        out = gauss[:, r0:r1]
+        np.add(zb, 0.5, out=out)
+        out *= 2.0 ** -53
+        ndtri(out, out=out)
+    return gauss.T
+
+
+class _Moments:
+    """Running sum of a sample stream, fed one chunk at a time.
+
+    The variance comes from each chunk's sum of squared deviations from
+    its own mean, merged across chunks with the Chan-Golub-LeVeque
+    update, so it stays accurate when the mean is large against the
+    spread.
+    """
+
+    __slots__ = ("total", "count", "mean", "sq_dev")
+
+    def __init__(self):
+        self.total, self.count, self.mean, self.sq_dev = 0.0, 0, 0.0, 0.0
+
+    def add(self, vals: np.ndarray, length: int) -> None:
+        chunk_sum = float(np.sum(vals))
+        self.total += chunk_sum
+        chunk_mean = chunk_sum / length
+        delta = chunk_mean - self.mean
+        merged = self.count + length
+        self.sq_dev += (float(np.sum(np.square(vals - chunk_mean)))
+                        + delta * delta * self.count * length / merged)
+        self.mean += delta * length / merged
+        self.count = merged
+
+    def estimate(self) -> tuple:
+        samples = self.count
+        return self.total / samples, math.sqrt(self.sq_dev / (samples - 1) / samples)
+
+
+def _gaussian_mc(polys: list, psi, samples: int, seed: int) -> list:
+    """(estimate, stderr) of E[psi(F(g))] for each polynomial, one stream.
+
+    Every chunk of Gaussians is generated once and evaluated against
+    each polynomial in turn; each polynomial keeps its own reduction
+    state, so its result is the same as on its own.
+    """
+    if samples < 1000:
+        raise PreconditionError(f"need at least 10^3 samples, got {samples}")
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    fn = _resolve_psi(psi).fn
+    sizes = {poly.n for poly in polys}
+    if len(sizes) != 1:
+        raise ValueError(
+            f"need one or more polynomials sharing one n, got n in {sorted(sizes)}")
+    n = sizes.pop()
+    moments = [_Moments() for _ in polys]
+    for start in range(0, samples, _CHUNK):
+        length = min(_CHUNK, samples - start)
+        block = _gaussian_chunk(seed, n, start, length)
+        for poly, state in zip(polys, moments):
+            vals = np.asarray(fn(evaluate_batch(poly, block)), dtype=np.float64)
+            state.add(vals, length)
+    return [state.estimate() for state in moments]
 
 
 def expect_gaussian_mc(poly: MultilinearPolynomial, psi, samples: int,
@@ -353,33 +443,10 @@ def expect_gaussian_mc(poly: MultilinearPolynomial, psi, samples: int,
 
     Returns (estimate, standard error).  Identical (seed, samples) give
     bit-identical results: samples are generated by the per-index counter
-    scheme above and reduced chunkwise in a fixed order.  The variance
-    comes from each chunk's sum of squared deviations from its own mean,
-    merged across chunks with the Chan-Golub-LeVeque update, so it stays
-    accurate when the mean is large against the spread.
+    scheme above and reduced chunkwise in a fixed order.  The standard
+    error stays accurate when the mean is large against the spread.
     """
-    if samples < 1000:
-        raise PreconditionError(f"need at least 10^3 samples, got {samples}")
-    if not 0 <= seed < (1 << 64):
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    fn = _resolve_psi(psi).fn
-    total = 0.0
-    count, run_mean, sq_dev = 0, 0.0, 0.0
-    for start in range(0, samples, _CHUNK):
-        length = min(_CHUNK, samples - start)
-        block = _gaussian_chunk(seed, poly.n, start, length)
-        vals = np.asarray(fn(evaluate_batch(poly, block)), dtype=np.float64)
-        chunk_sum = float(np.sum(vals))
-        total += chunk_sum
-        chunk_mean = chunk_sum / length
-        delta = chunk_mean - run_mean
-        merged = count + length
-        sq_dev += (float(np.sum(np.square(vals - chunk_mean)))
-                   + delta * delta * count * length / merged)
-        run_mean += delta * length / merged
-        count = merged
-    estimate = total / samples
-    return estimate, math.sqrt(sq_dev / (samples - 1) / samples)
+    return _gaussian_mc([poly], psi, samples, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -412,13 +479,9 @@ class InvarianceReport:
         }
 
 
-def verify_invariance(poly: MultilinearPolynomial, psi, bound: float,
-                      samples: int = 1_000_000, seed: int = 0,
-                      z: float = 4.0) -> InvarianceReport:
-    """Compare |exact - Monte Carlo| against bound + z * stderr."""
-    name = _resolve_psi(psi).name
-    lhs = expect_exact(poly, psi)
-    rhs, stderr = expect_gaussian_mc(poly, psi, samples, seed)
+def _report(name: str, lhs: float, estimate: tuple, bound: float,
+            samples: int, seed: int, z: float) -> InvarianceReport:
+    rhs, stderr = estimate
     delta = abs(lhs - rhs)
     return InvarianceReport(
         psi=name,
@@ -432,6 +495,34 @@ def verify_invariance(poly: MultilinearPolynomial, psi, bound: float,
         z=z,
         passed=delta <= float(bound) + z * stderr,
     )
+
+
+def verify_invariance(poly: MultilinearPolynomial, psi, bound: float,
+                      samples: int = 1_000_000, seed: int = 0,
+                      z: float = 4.0) -> InvarianceReport:
+    """Compare |exact - Monte Carlo| against bound + z * stderr."""
+    name = _resolve_psi(psi).name
+    lhs = expect_exact(poly, psi)
+    return _report(name, lhs, expect_gaussian_mc(poly, psi, samples, seed),
+                   bound, samples, seed, z)
+
+
+def verify_invariance_many(polys, psi, bounds, samples: int = 1_000_000,
+                           seed: int = 0, z: float = 4.0) -> list:
+    """:func:`verify_invariance` for polynomials that share one n.
+
+    Each chunk of Gaussians is generated once for all of them; every
+    report equals the one :func:`verify_invariance` gives on its own.
+    """
+    polys, bounds = list(polys), list(bounds)
+    if len(bounds) != len(polys):
+        raise ValueError(
+            f"got {len(bounds)} bounds for {len(polys)} polynomials")
+    name = _resolve_psi(psi).name
+    lhs = [expect_exact(poly, psi) for poly in polys]
+    estimates = _gaussian_mc(polys, psi, samples, seed)
+    return [_report(name, exact, estimate, bound, samples, seed, z)
+            for exact, estimate, bound in zip(lhs, estimates, bounds)]
 
 
 # ---------------------------------------------------------------------------

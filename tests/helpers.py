@@ -159,3 +159,51 @@ def brute_product_coeffs(f: dict, g: dict, n: int) -> dict:
             total += -value if (index & mask).bit_count() & 1 else value
         out[mask] = total / (1 << n)
     return out
+
+
+def reference_evaluate_batch(poly: MultilinearPolynomial,
+                             points: np.ndarray) -> np.ndarray:
+    """Each term multiplied out on its own, lowest variable first, and
+    added as ``value * term`` in coefficient order.
+
+    The package's memoised evaluation must match it bit for bit.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    out = np.zeros(points.shape[0], dtype=np.float64)
+    for mask, value in poly.coeffs.items():
+        if mask == 0:
+            out += float(value)
+            continue
+        m = mask
+        j = (m & -m).bit_length() - 1
+        term = points[:, j].copy()
+        m &= m - 1
+        while m:
+            j = (m & -m).bit_length() - 1
+            term *= points[:, j]
+            m &= m - 1
+        out += float(value) * term
+    return out
+
+
+def reference_gaussian_chunk(seed: int, n: int, start: int,
+                             length: int) -> np.ndarray:
+    """The counter-based Gaussians of ``(seed, i, j)`` as whole-array steps.
+
+    A (length, n) array for sample indices [start, start + length); the
+    package's blocked in-place generation must match it bit for bit.
+    """
+    from scipy.special import ndtri
+
+    def mix64(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    k_index = np.uint64(0x9E3779B97F4A7C15)
+    idx = np.arange(start, start + length, dtype=np.uint64)[:, None]
+    coord = np.arange(n, dtype=np.uint64)[None, :]
+    base = np.uint64((seed * 0xD6E8FEB86659FD93) & ((1 << 64) - 1))
+    z = idx * k_index + coord * np.uint64(0xC2B2AE3D27D4EB4F) + base
+    z = mix64(mix64(z) + k_index)
+    return ndtri(((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)

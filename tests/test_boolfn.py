@@ -1,7 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compwiretap import (
     MultilinearPolynomial,
@@ -36,6 +39,7 @@ from helpers import (
     random_boolean_table,
     random_rational_poly,
     reference_butterfly,
+    reference_evaluate_batch,
     zchannel_f_poly,
     zchannel_g_poly,
 )
@@ -132,6 +136,34 @@ def test_evaluate_maj3():
         evaluate(poly, (1, 1))
 
 
+def test_inverse_wht_keeps_one_table_copy():
+    # the transform's fresh array becomes the table; nothing copies it
+    f, _ = chain_pair_polys(20)
+    table_bytes = 8 << 20
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = inverse_wht(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.values.nbytes == table_bytes
+    assert not table.values.flags.writeable
+    assert peak < 1.5 * table_bytes
+
+
+def test_table_constructor_copies_its_input():
+    values = np.array([1.0, -1.0, -1.0, 1.0])
+    table = TruthTable(2, values)
+    values[0] = 5.0
+    assert table.values[0] == 1.0
+    assert not table.values.flags.writeable
+    with pytest.raises(ValueError):
+        TruthTable(2, [1.0, np.inf, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        TruthTable(2, [1.0, 1.0])
+
+
 def test_evaluate_batch_matches_scalar():
     rng = np.random.default_rng(3)
     poly = random_rational_poly(rng, 5)
@@ -140,6 +172,84 @@ def test_evaluate_batch_matches_scalar():
     for i in range(40):
         single = float(evaluate(poly, tuple(float(v) for v in X[i])))
         assert abs(batch[i] - single) <= 1e-12
+
+
+_COEFFICIENTS = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.fractions(min_value=-8, max_value=8, max_denominator=64))
+
+
+@st.composite
+def _polynomials(draw, max_n=10, max_terms=48):
+    n = draw(st.integers(1, max_n))
+    coeffs = draw(st.dictionaries(
+        st.integers(0, (1 << n) - 1), _COEFFICIENTS, max_size=max_terms))
+    return MultilinearPolynomial(n, coeffs)
+
+
+def _points(seed, rows, n, layout="C"):
+    """Gaussian points with signed zeros mixed in, in C or F layout."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((rows, n))
+    points[rng.random((rows, n)) < 0.05] = 0.0
+    points[rng.random((rows, n)) < 0.05] = -0.0
+    return np.asfortranarray(points) if layout == "F" else points
+
+
+def _assert_same_bits(poly, points):
+    got = evaluate_batch(poly, points)
+    assert got.tobytes() == reference_evaluate_batch(poly, points).tobytes()
+
+
+@given(poly=_polynomials(), rows=st.sampled_from([0, 1, 4095, 4097]),
+       seed=st.integers(0, 2 ** 32 - 1), layout=st.sampled_from("CF"))
+def test_evaluate_batch_matches_per_term_reference(poly, rows, seed, layout):
+    _assert_same_bits(poly, _points(seed, rows, poly.n, layout))
+
+
+@settings(max_examples=10)
+@given(poly=_polynomials(max_terms=12), seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluate_batch_full_chunk_matches_reference(poly, seed):
+    _assert_same_bits(poly, _points(seed, 1 << 16, poly.n, "F"))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4097, 1 << 16])
+@pytest.mark.parametrize("coeffs", [{}, {0: 0.1}, {0: Fraction(-7, 3)}],
+                         ids=["zero", "float", "fraction"])
+def test_evaluate_batch_zero_and_constant(rows, coeffs):
+    _assert_same_bits(MultilinearPolynomial(3, coeffs), _points(5, rows, 3))
+
+
+def test_evaluate_batch_dense_degree_ten():
+    # every mask at n=10: monomials built on parents nine deep
+    rng = np.random.default_rng(17)
+    poly = MultilinearPolynomial(10, dict(enumerate(rng.standard_normal(1 << 10))))
+    _assert_same_bits(poly, _points(18, 4097, 10, "F"))
+
+
+def test_evaluate_batch_memo_stays_bounded():
+    # 2**13 memoised monomials over 1024 rows would take 64 MiB; the
+    # block shrinks to 512 rows so that the memo stays at 32 MiB
+    rng = np.random.default_rng(23)
+    poly = MultilinearPolynomial(13, dict(enumerate(rng.standard_normal(1 << 13))))
+    points = _points(24, 1024, 13, "F")
+    tracemalloc.start()
+    try:
+        evaluate_batch(poly, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
+
+
+def test_evaluate_batch_small_blocks(monkeypatch):
+    # a memo budget below one row per slot leaves one-row blocks
+    monkeypatch.setattr(boolfn, "_MEMO_POINTS", 100)
+    monkeypatch.setattr(boolfn, "_EVAL_ROWS", 3)
+    rng = np.random.default_rng(19)
+    poly = MultilinearPolynomial(8, dict(enumerate(rng.standard_normal(1 << 8))))
+    _assert_same_bits(poly, _points(20, 301, 8))
+    _assert_same_bits(maj3_poly(), _points(21, 301, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,27 @@ def test_invariance_pair_parses_each_source_once(tmp_path, monkeypatch, capsys):
     assert len(polys) == 1 and len(tables) == 1
 
 
+def test_invariance_multiplicative_builds_product_once(monkeypatch, capsys):
+    # two tables for the lifted pair and one for the exact expectation;
+    # the pair's tables settle the ±1 check, and one product serves both
+    # the noise and the degree-of-product variant
+    products = _count_calls(monkeypatch, "mul", [boolfn, channels, invariance])
+    tables = _count_calls(monkeypatch, "inverse_wht",
+                          [boolfn, channels, invariance])
+    code, report = run_json(capsys, [
+        "invariance", "--f", MAJ3, "--g", "x4*x5*x6", "--psi", "sin",
+        "--samples", "2000"])
+    assert code == 0 and report["mode"] == "multiplicative"
+    assert len(products) == 1
+    assert len(tables) <= 3
+
+
+def test_invariance_multiplicative_bad_c_exits_1(capsys):
+    assert main(["invariance", "--f", ZCHAN_F, "--g", ZCHAN_G,
+                 "--C", "-1", "--samples", "2000"]) == 1
+    assert capsys.readouterr().err.startswith("error: C must be finite")
+
+
 def test_invariance_unknown_psi_exits_1(capsys):
     assert main(["invariance", "--f", MAJ3, "--psi", "tan"]) == 1
     err = capsys.readouterr().err

@@ -4,7 +4,8 @@ Each case runs ``compwiretap.cli.main`` on fixed arguments and compares
 its exit code and stdout with ``tests/golden/<case>.out``.  The inputs
 are the README examples and the table files next to the outputs: a ±1
 pair at n=8 (``pm8_f.json``, ``pm8_g.csv``) and a real-valued table at
-n=6 (``real6.csv``).  A change to any answer shows up as a diff here.
+n=6 (``real6.csv``) and a dense real-valued table at n=10
+(``real10.csv``).  A change to any answer shows up as a diff here.
 
 To refresh the outputs after a deliberate, documented change::
 
@@ -27,6 +28,7 @@ ZCHAN_G = "1/4*(1 - x1 - x2 - x3 + x1*x2 + x1*x3 + x2*x3 + 3*x1*x2*x3)"
 PM8_F = f"@{GOLDEN / 'pm8_f.json'}"
 PM8_G = f"@{GOLDEN / 'pm8_g.csv'}"
 REAL6 = f"@{GOLDEN / 'real6.csv'}"
+REAL10 = f"@{GOLDEN / 'real10.csv'}"
 SAMPLES = ["--samples", "10000"]
 
 # case name -> (argv, exit code)
@@ -57,6 +59,11 @@ CASES = {
     "real6_invariance_additive": (
         ["invariance", "--f", REAL6, "--g", "1/8*(x1 + x8)", "--psi", "cos",
          "--seed", "3", *SAMPLES], 0),
+    # 1020 terms up to degree 10: the deepest monomial chains, evaluated
+    # across a whole chunk and a partial one
+    "real10_invariance": (
+        ["invariance", "--f", REAL10, "--psi", "quartic", "--seed", "3",
+         "--samples", "100000"], 0),
 }
 
 

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compwiretap import (
     DISTRIBUTIONS,
@@ -23,14 +26,17 @@ from compwiretap import (
     sub,
     variance,
     verify_invariance,
+    verify_invariance_many,
     wht,
 )
+from compwiretap import invariance
 from compwiretap.invariance import _gaussian_chunk
 from helpers import (
     chain_pair_polys,
     maj3_poly,
     random_boolean_table,
     random_rational_poly,
+    reference_gaussian_chunk,
     zchannel_f_poly,
     zchannel_g_poly,
 )
@@ -202,7 +208,6 @@ def test_gaussian_mc_identity_and_square():
 def test_gaussian_mc_determinism():
     poly = maj3_poly()
     first = expect_gaussian_mc(poly, "cos", 150_000, seed=11)
-    _gaussian_chunk.cache_clear()
     second = expect_gaussian_mc(poly, "cos", 150_000, seed=11)
     assert first == second  # bit-identical
     other_seed = expect_gaussian_mc(poly, "cos", 150_000, seed=12)
@@ -236,6 +241,68 @@ def test_gaussian_chunks_are_per_index():
     whole = _gaussian_chunk(42, 4, 0, 128)
     tail = _gaussian_chunk(42, 4, 64, 64)
     assert np.array_equal(whole[64:], tail)
+
+
+@given(n=st.sampled_from([1, 3, 24]), start=st.integers(0, 1 << 40),
+       length=st.integers(1, 5000),
+       seed=st.one_of(st.just((1 << 64) - 1), st.integers(0, (1 << 64) - 1)))
+def test_gaussian_chunk_matches_whole_array_reference(n, start, length, seed):
+    block = _gaussian_chunk(seed, n, start, length)
+    expected = reference_gaussian_chunk(seed, n, start, length)
+    assert block.shape == expected.shape == (length, n)
+    assert block.tobytes() == expected.tobytes()
+
+
+def test_gaussian_chunk_full_size_matches_reference():
+    seed = (1 << 64) - 1
+    block = _gaussian_chunk(seed, 24, 1 << 16, 1 << 16)
+    assert block.tobytes() == reference_gaussian_chunk(
+        seed, 24, 1 << 16, 1 << 16).tobytes()
+
+
+def test_gaussian_chunk_row_blocks_do_not_matter(monkeypatch):
+    expected = reference_gaussian_chunk(9, 5, 123, 1000)
+    monkeypatch.setattr(invariance, "_GEN_ROWS", 7)
+    assert _gaussian_chunk(9, 5, 123, 1000).tobytes() == expected.tobytes()
+
+
+def test_gaussian_chunk_has_no_cache():
+    assert not hasattr(_gaussian_chunk, "cache_clear")
+
+
+def test_gaussian_mc_returns_its_memory():
+    # no chunk outlives the call that generated it
+    f, _ = chain_pair_polys(16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        expect_gaussian_mc(f, "cos", 200_000, seed=4)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1 << 20
+
+
+def test_verify_invariance_many_matches_single_calls():
+    rng = np.random.default_rng(89)
+    polys = [random_rational_poly(rng, 6) for _ in range(3)]
+    bounds = [0.5, 0.0, corollary_bound(polys[2], 1.0, max_influence(polys[2]))]
+    reports = verify_invariance_many(polys, "cos", bounds,
+                                     samples=70_000, seed=21)
+    assert reports == [
+        verify_invariance(poly, "cos", bound, samples=70_000, seed=21)
+        for poly, bound in zip(polys, bounds)]
+
+
+def test_verify_invariance_many_validation():
+    poly = maj3_poly()
+    with pytest.raises(ValueError):
+        verify_invariance_many([poly, poly.with_n(4)], "cos", [1.0, 1.0],
+                               samples=2000)
+    with pytest.raises(ValueError):
+        verify_invariance_many([poly, poly], "cos", [1.0], samples=2000)
+    with pytest.raises(ValueError):
+        verify_invariance_many([], "cos", [], samples=2000)
 
 
 def test_gaussian_mc_input_validation():
