@@ -73,16 +73,7 @@ def _load_function(source: str, declared_n: int | None):
 def _load_pair(args) -> channels.WiretapSpec:
     f_poly, f_table = _load_function(args.f, args.n)
     g_poly, g_table = _load_function(args.g, args.n)
-    n = max(f_poly.n, g_poly.n)
-    if f_poly.n != n:
-        f_poly, f_table = f_poly.with_n(n), None
-    if g_poly.n != n:
-        g_poly, g_table = g_poly.with_n(n), None
-    if f_table is None:
-        f_table = boolfn.inverse_wht(f_poly)
-    if g_table is None:
-        g_table = boolfn.inverse_wht(g_poly)
-    return channels.WiretapSpec(f_table, g_table, f_poly, g_poly)
+    return channels.WiretapSpec.from_polys(f_poly, g_poly, f_table, g_table)
 
 
 # ---------------------------------------------------------------------------
@@ -117,46 +108,41 @@ def _cmd_analyze(args):
     return report, 0
 
 
+def _pair_report(spec, **fields) -> dict:
+    """A pair answer: n and the canonical f and g, then its own fields."""
+    return {"n": spec.n, "f": funcdsl.serialize_poly(spec.f_poly),
+            "g": funcdsl.serialize_poly(spec.g_poly), **fields}
+
+
+def _noise_dict(model) -> dict:
+    return {**model.to_dict(), "poly": funcdsl.serialize_poly(model.poly)}
+
+
 def _cmd_channel(args):
     spec = _load_pair(args)
     joint = channels.joint_distribution(spec)
-    forward = channels.classic_channel(spec)
-    posterior = channels.posterior_channel(spec)
-    estimator = channels.map_estimator(spec)
-    additive = channels.additive_noise(spec)
-    additive_dict = additive.to_dict()
-    additive_dict["poly"] = funcdsl.serialize_poly(additive.poly)
+    estimator = channels.map_estimator(joint)
+    additive = _noise_dict(channels.additive_noise(spec))
     try:
-        multiplicative = channels.multiplicative_noise(spec)
-        mult_dict = multiplicative.to_dict()
-        mult_dict["poly"] = funcdsl.serialize_poly(multiplicative.poly)
+        multiplicative = _noise_dict(channels.multiplicative_noise(spec))
     except PreconditionError as exc:
-        mult_dict = {"applicable": False, "reason": str(exc)}
-    report = {
-        "n": spec.n,
-        "f": funcdsl.serialize_poly(spec.f_poly),
-        "g": funcdsl.serialize_poly(spec.g_poly),
-        "joint": joint.to_dict(),
-        "classic": forward.to_dict(),
-        "posterior": posterior.to_dict(),
-        "map": [[v, estimator[v]] for v in sorted(estimator)],
-        "success_probability": channels.eve_success_probability(spec),
-        "additive": additive_dict,
-        "multiplicative": mult_dict,
-    }
+        multiplicative = {"applicable": False, "reason": str(exc)}
+    report = _pair_report(
+        spec, joint=joint.to_dict(),
+        classic=channels.classic_channel(joint).to_dict(),
+        posterior=channels.posterior_channel(joint).to_dict(),
+        map=[[v, estimator[v]] for v in sorted(estimator)],
+        success_probability=channels.eve_success_probability(joint),
+        additive=additive, multiplicative=multiplicative)
     return report, 0
 
 
 def _cmd_commute(args):
     spec = _load_pair(args)
-    result = channels.commutes(spec)
-    report = {
-        "n": spec.n,
-        "f": funcdsl.serialize_poly(spec.f_poly),
-        "g": funcdsl.serialize_poly(spec.g_poly),
-        **result.to_dict(),
-        "success_probability": channels.eve_success_probability(spec),
-    }
+    report = _pair_report(
+        spec, **channels.commutes(spec).to_dict(),
+        success_probability=channels.eve_success_probability(
+            channels.joint_distribution(spec)))
     return report, 0
 
 
@@ -232,13 +218,7 @@ def _cmd_invariance(args):
 
 def _cmd_lemmas(args):
     spec = _load_pair(args)
-    report = {
-        "n": spec.n,
-        "f": funcdsl.serialize_poly(spec.f_poly),
-        "g": funcdsl.serialize_poly(spec.g_poly),
-        **invariance.lemma_suite(spec.f_poly, spec.g_poly).to_dict(),
-    }
-    return report, 0
+    return _pair_report(spec, **invariance.lemma_suite(spec).to_dict()), 0
 
 
 def _cmd_moments(args):

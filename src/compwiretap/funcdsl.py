@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import MultilinearPolynomial, TruthTable, point_to_index
+from .boolfn import MAX_N, MultilinearPolynomial, TruthTable, point_to_index
 
 
 class ParseError(ValueError):
@@ -197,17 +197,25 @@ def parse_poly(text: str, declared_n: int | None = None) -> MultilinearPolynomia
 
 def _coeff_string(value) -> str:
     """Exact fraction when representable, decimal repr otherwise."""
-    frac = Fraction(value)  # exact for Fraction, int and float inputs
-    if not isinstance(value, Fraction):
-        if abs(frac.numerator) > 2**53 or frac.denominator > 2**53:
-            return repr(float(value))
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    # A float gives its exact ratio itself; numpy integers have no
+    # as_integer_ratio, so other reals go through Fraction.
+    exact = value if isinstance(value, float) else Fraction(value)
+    num, den = exact.as_integer_ratio()
+    if not isinstance(value, Fraction) and (abs(num) > 2**53 or den > 2**53):
+        return repr(float(value))
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+_VARIABLES = tuple(f"x{j + 1}" for j in range(MAX_N))
 
 
 def _monomial(mask: int) -> str:
-    return "*".join(f"x{j + 1}" for j in range(mask.bit_length()) if mask >> j & 1)
+    names = []
+    while mask:
+        low = mask & -mask  # walk the set bits only, lowest first
+        names.append(_VARIABLES[low.bit_length() - 1])
+        mask ^= low
+    return "*".join(names)
 
 
 def serialize_poly(poly: MultilinearPolynomial) -> str:

@@ -47,6 +47,7 @@ from .boolfn import (
     term_count,
     variance,
 )
+from .channels import WiretapSpec
 
 #: Slack used when checking the lemma inequalities numerically.
 LEMMA_SLACK = 1e-10
@@ -564,9 +565,8 @@ class LemmaSuiteReport:
         }
 
 
-def lemma_suite(f: MultilinearPolynomial,
-                g: MultilinearPolynomial) -> LemmaSuiteReport:
-    """Numerically check the three pairwise inequalities.
+def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:
+    """Numerically check the three pairwise inequalities of ``spec``'s pair.
 
     1. Var[f - g] <= 1 when Var[f], Var[g] <= 1/4.
     2. Inf_t[f - g] <= 4*eps for every t.
@@ -574,11 +574,13 @@ def lemma_suite(f: MultilinearPolynomial,
 
     eps is the largest coordinate influence over both functions.
     Precondition failures mark a lemma as not applicable rather than
-    raising.
+    raising; the ±1 precondition is read from the spec's tables.
     """
+    f, g = spec.f_poly, spec.g_poly
     eps = float(_pair_epsilon(f, g))
     checks = []
 
+    diff = sub(f, g)
     var_f, var_g = float(variance(f)), float(variance(g))
     if var_f > 0.25 + _VAR_QUARTER_TOL or var_g > 0.25 + _VAR_QUARTER_TOL:
         offender = "f" if var_f > 0.25 + _VAR_QUARTER_TOL else "g"
@@ -586,31 +588,27 @@ def lemma_suite(f: MultilinearPolynomial,
             "variance_difference", False,
             f"Var[{offender}] exceeds 1/4", None, None, None))
     else:
-        lhs = float(variance(sub(f, g)))
+        lhs = float(variance(diff))
         checks.append(LemmaCheck(
             "variance_difference", True, None, lhs, 1.0,
             lhs <= 1.0 + LEMMA_SLACK))
 
-    diff = sub(f, g)
-    lhs = max(
-        (float(influence_spectral(diff, t)) for t in range(1, diff.n + 1)),
-        default=0.0)
+    # rounding is monotone, so the float of the exact maximum is the
+    # maximum of the floats
+    lhs = float(max_influence(diff))
     checks.append(LemmaCheck(
         "influence_difference", True, None, lhs, 4.0 * eps,
         lhs <= 4.0 * eps + LEMMA_SLACK))
 
-    f_bool = is_boolean_valued(inverse_wht(f))
-    g_bool = is_boolean_valued(inverse_wht(g))
+    f_bool = is_boolean_valued(spec.f_table)
+    g_bool = is_boolean_valued(spec.g_table)
     if not (f_bool and g_bool):
         offender = "f" if not f_bool else "g"
         checks.append(LemmaCheck(
             "influence_product", False,
             f"{offender} is not ±1-valued", None, None, None))
     else:
-        prod = mul(f, g)
-        lhs = max(
-            (float(influence_spectral(prod, t)) for t in range(1, prod.n + 1)),
-            default=0.0)
+        lhs = float(max_influence(mul(f, g)))
         bound = 4.0 * eps * term_count(f) * term_count(g)
         checks.append(LemmaCheck(
             "influence_product", True, None, lhs, bound,

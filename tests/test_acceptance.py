@@ -25,6 +25,7 @@ from compwiretap import (
     expect_gaussian_mc,
     influence_flip,
     influence_spectral,
+    joint_distribution,
     lemma_suite,
     max_influence,
     multiplicative_noise,
@@ -106,7 +107,7 @@ def test_criterion_03_lemma_suite():
             n = int(rng.integers(2, 8))
             f = random_rational_poly(rng, n)
             g = random_rational_poly(rng, n)
-            report = {c.name: c for c in lemma_suite(f, g).checks}
+            report = {c.name: c for c in lemma_suite(WiretapSpec.from_polys(f, g)).checks}
             assert report["variance_difference"].applicable
             assert report["variance_difference"].passed
             assert report["influence_difference"].passed
@@ -115,7 +116,7 @@ def test_criterion_03_lemma_suite():
             n = int(rng.integers(2, 6))
             f = wht(random_boolean_table(rng, n))
             g = wht(random_boolean_table(rng, n))
-            report = {c.name: c for c in lemma_suite(f, g).checks}
+            report = {c.name: c for c in lemma_suite(WiretapSpec.from_polys(f, g)).checks}
             assert report["influence_product"].applicable
             assert report["influence_product"].passed
             assert report["influence_difference"].passed
@@ -125,7 +126,7 @@ def test_criterion_04_channel_example():
     with criterion(4, "posterior edge labels 1, 1/4, 3/4; "
                       "BAC parameters 1/4 and 0; exact reconstruction"):
         spec = WiretapSpec.from_polys(zchannel_f_poly(), zchannel_g_poly())
-        post = posterior_channel(spec)
+        post = posterior_channel(joint_distribution(spec))
         m = post.matrix
         v, u = post.inputs, post.outputs
         assert abs(m[v.index(1.0), u.index(1.0)] - 1.0) <= 1e-12
@@ -286,6 +287,6 @@ def test_criterion_11_commutativity():
                 expected = brute_commutes(fv, gv)
                 oracle_success = brute_success_probability(fv, gv)
                 assert commutes(spec).commutes == expected
-                success = eve_success_probability(spec)
+                success = eve_success_probability(joint_distribution(spec))
                 assert abs(success - float(oracle_success)) <= 1e-15
                 assert (success == 1.0) == expected

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compwiretap import (
     MultilinearPolynomial,
@@ -19,6 +21,7 @@ from compwiretap import (
     parse_poly,
     posterior_channel,
 )
+from compwiretap.channels import VALUE_MERGE_TOL, _merge_values
 from helpers import (
     brute_commutes,
     brute_joint,
@@ -81,7 +84,7 @@ def test_joint_constant_f():
 # ---------------------------------------------------------------------------
 
 def test_classic_channel_zchannel():
-    ch = classic_channel(zchannel_spec())
+    ch = classic_channel(joint_distribution(zchannel_spec()))
     u, v = ch.inputs, ch.outputs
     m = ch.matrix
     assert abs(m[u.index(1.0), v.index(1.0)] - 4 / 5) <= 1e-12
@@ -92,17 +95,17 @@ def test_classic_channel_zchannel():
 
 def test_classic_channel_identity_and_independent():
     spec = WiretapSpec.from_polys(maj3_poly(), maj3_poly())
-    ch = classic_channel(spec)
+    ch = classic_channel(joint_distribution(spec))
     assert np.array_equal(ch.matrix, np.eye(2))
 
     spec = WiretapSpec.from_polys(
         parse_poly("x1", declared_n=2), parse_poly("x2", declared_n=2))
-    ch = classic_channel(spec)
+    ch = classic_channel(joint_distribution(spec))
     assert np.allclose(ch.matrix[0], ch.matrix[1])  # rows equal
 
 
 def test_posterior_channel_zchannel_edge_labels():
-    ch = posterior_channel(zchannel_spec())
+    ch = posterior_channel(joint_distribution(zchannel_spec()))
     v, u = ch.inputs, ch.outputs
     m = ch.matrix
     assert m[v.index(1.0), u.index(1.0)] == 1.0
@@ -113,11 +116,11 @@ def test_posterior_channel_zchannel_edge_labels():
 
 def test_posterior_identity_and_antidiagonal():
     spec = WiretapSpec.from_polys(maj3_poly(), maj3_poly())
-    assert np.array_equal(posterior_channel(spec).matrix, np.eye(2))
+    assert np.array_equal(posterior_channel(joint_distribution(spec)).matrix, np.eye(2))
 
     minus = MultilinearPolynomial(3, {m: -v for m, v in maj3_poly().coeffs.items()})
     spec = WiretapSpec.from_polys(maj3_poly(), minus)
-    m = posterior_channel(spec).matrix
+    m = posterior_channel(joint_distribution(spec)).matrix
     assert np.array_equal(m, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -128,8 +131,8 @@ def test_bayes_consistency_random():
         spec = WiretapSpec.from_tables(
             random_boolean_table(rng, n), random_boolean_table(rng, n))
         joint = joint_distribution(spec)
-        forward = classic_channel(spec)
-        posterior = posterior_channel(spec)
+        forward = classic_channel(joint)
+        posterior = posterior_channel(joint)
         prior_u = np.array(forward.prior)
         prior_v = np.array(posterior.prior)
         for i in range(len(joint.u_values)):
@@ -150,11 +153,11 @@ def test_eve_view_equivalence_random():
         g = TruthTable(n, rng.integers(0, 3, 1 << n).astype(float))
         spec = WiretapSpec.from_tables(f, g)
         joint = joint_distribution(spec)
-        forward = classic_channel(spec)
+        forward = classic_channel(joint)
         composed_v = np.array(forward.prior) @ forward.matrix
         assert np.max(np.abs(composed_v - joint.v_marginal())) <= 1e-12
 
-        rule = map_estimator(spec)
+        rule = map_estimator(joint)
         # distribution of u-hat via the channel view
         channel_dist = {}
         for j, v in enumerate(joint.v_values):
@@ -176,33 +179,33 @@ def test_eve_view_equivalence_random():
 # ---------------------------------------------------------------------------
 
 def test_map_estimator_zchannel():
-    rule = map_estimator(zchannel_spec())
+    rule = map_estimator(joint_distribution(zchannel_spec()))
     assert rule[1.0] == 1.0
     assert rule[-1.0] == -1.0
 
 
 def test_map_estimator_identity_and_constant():
     spec = WiretapSpec.from_polys(maj3_poly(), maj3_poly())
-    assert map_estimator(spec) == {-1.0: -1.0, 1.0: 1.0}
+    assert map_estimator(joint_distribution(spec)) == {-1.0: -1.0, 1.0: 1.0}
 
     # constant f: the estimate is the mode of g's prior
     spec = spec_from_tables([1, 1, 1, 1], [-1, -1, -1, 1], 2)
-    assert map_estimator(spec) == {1.0: -1.0}
+    assert map_estimator(joint_distribution(spec)) == {1.0: -1.0}
 
 
 def test_map_tie_breaks_to_smallest_u():
     # g is ±1 balanced on the fiber of each f value
     spec = spec_from_tables([1, 1, 1, 1], [-1, -1, 1, 1], 2)
-    assert map_estimator(spec) == {1.0: -1.0}
+    assert map_estimator(joint_distribution(spec)) == {1.0: -1.0}
 
 
 def test_success_probability_examples():
-    assert eve_success_probability(zchannel_spec()) == 7 / 8
+    assert eve_success_probability(joint_distribution(zchannel_spec())) == 7 / 8
     spec = WiretapSpec.from_polys(maj3_poly(), maj3_poly())
-    assert eve_success_probability(spec) == 1.0
+    assert eve_success_probability(joint_distribution(spec)) == 1.0
     spec = WiretapSpec.from_polys(
         parse_poly("x1", declared_n=2), parse_poly("x2", declared_n=2))
-    assert eve_success_probability(spec) == 0.5
+    assert eve_success_probability(joint_distribution(spec)) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def test_commutes_iff_success_one_random():
         spec = WiretapSpec.from_tables(f, g)
         expected = brute_commutes(list(f.values), list(g.values))
         assert commutes(spec).commutes == expected
-        assert (eve_success_probability(spec) == 1.0) == expected
+        assert (eve_success_probability(joint_distribution(spec)) == 1.0) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +300,7 @@ def test_multiplicative_noise_zchannel():
     assert nm.reconstruction_max_error == 0.0
     # agreement between the posterior edge label and the flip parameter:
     # Pr(u=1 | v=-1) equals Pr(N=-1 | uN=-1)
-    post = posterior_channel(zchannel_spec())
+    post = posterior_channel(joint_distribution(zchannel_spec()))
     got = post.matrix[post.inputs.index(-1.0), post.outputs.index(1.0)]
     assert abs(got - nm.flip_one_to_minus) <= 1e-15
 
@@ -366,3 +369,62 @@ def test_value_merging_absorbs_float_dust():
     g = TruthTable(1, [1.0, -1.0])
     joint = joint_distribution(WiretapSpec.from_tables(f, g))
     assert len(joint.v_values) == 1  # the two almost-equal values merged
+
+
+def test_value_merging_rejects_chained_values():
+    # each gap is below the tolerance, but the run spans 1800x of it
+    values = np.arange(2000) * 0.9e-9
+    with pytest.raises(ValueError, match=r"from 0\.0 to 1\.7991e-06 chain "
+                                         r"into one symbol spanning 1\.8e-06"):
+        _merge_values(values)
+
+
+def test_value_merging_keeps_a_cluster_within_tolerance():
+    values = np.array([0.0, VALUE_MERGE_TOL / 2, VALUE_MERGE_TOL, 3.0])
+    reps, labels = _merge_values(values)
+    assert len(reps) == 2 and list(labels) == [0, 0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# Properties against the brute-force oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _table_pairs(draw):
+    """±1 or small-rational value lists for f and g at n <= 4."""
+    n = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([
+        st.sampled_from([-1.0, 1.0]),
+        st.fractions(-2, 2, max_denominator=6).map(float)]))
+    f, g = (draw(st.lists(value, min_size=1 << n, max_size=1 << n))
+            for _ in range(2))
+    return n, f, g
+
+
+@given(_table_pairs())
+def test_joint_views_match_enumeration(pair):
+    n, f, g = pair
+    spec = spec_from_tables(f, g, n)
+    joint = joint_distribution(spec)
+    oracle = brute_joint(f, g)
+    assert joint.u_values == tuple(sorted(set(g)))
+    assert joint.v_values == tuple(sorted(set(f)))
+    for i, u in enumerate(joint.u_values):
+        for j, v in enumerate(joint.v_values):
+            assert joint.probs[i, j] == float(oracle.get((u, v), 0))
+
+    posterior = posterior_channel(joint)
+    for j, v in enumerate(posterior.inputs):
+        pv = sum(p for (_, vv), p in oracle.items() if vv == v)
+        for i, u in enumerate(posterior.outputs):
+            assert posterior.matrix[j, i] == float(oracle.get((u, v), 0) / pv)
+
+    success = brute_success_probability(f, g)
+    assert eve_success_probability(joint) == float(success)
+
+    report = commutes(spec)
+    assert report.commutes == brute_commutes(f, g)
+    if not report.commutes:
+        x0, x1 = (evaluate(spec.f_poly, x) for x in report.witness)
+        y0, y1 = (evaluate(spec.g_poly, x) for x in report.witness)
+        assert abs(x0 - x1) <= 1e-9 and abs(y0 - y1) > 1e-9

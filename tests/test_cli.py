@@ -217,6 +217,22 @@ def test_invariance_multiplicative_builds_product_once(monkeypatch, capsys):
     assert len(tables) <= 3
 
 
+def test_channel_builds_one_joint(monkeypatch, capsys):
+    joints = _count_calls(monkeypatch, "joint_distribution", [channels])
+    code, _ = run_json(capsys, ["channel", "--f", ZCHAN_F, "--g", ZCHAN_G])
+    assert code == 0
+    assert len(joints) == 1
+
+
+def test_lemmas_builds_the_pair_tables_only(monkeypatch, capsys):
+    # the lifted pair's two tables also settle the ±1 precondition
+    tables = _count_calls(monkeypatch, "inverse_wht",
+                          [boolfn, channels, invariance])
+    code, _ = run_json(capsys, ["lemmas", "--f", ZCHAN_F, "--g", ZCHAN_G])
+    assert code == 0
+    assert len(tables) == 2
+
+
 def test_invariance_multiplicative_bad_c_exits_1(capsys):
     assert main(["invariance", "--f", ZCHAN_F, "--g", ZCHAN_G,
                  "--C", "-1", "--samples", "2000"]) == 1
@@ -299,11 +315,28 @@ def test_table_n_mismatch_exits_1(tmp_path, capsys):
 
 
 def test_json_output_is_byte_stable(capsys):
-    code1 = main(["invariance", "--f", MAJ3, "--samples", "20000"])
-    out1 = capsys.readouterr().out
-    code2 = main(["invariance", "--f", MAJ3, "--samples", "20000"])
-    out2 = capsys.readouterr().out
-    assert (code1, out1) == (code2, out2)
+    for argv in (["invariance", "--f", MAJ3, "--samples", "20000"],
+                 ["channel", "--f", ZCHAN_F, "--g", ZCHAN_G],
+                 ["channel", "--f", "x1 + 1/3*x2", "--g", "x1*x3"]):
+        code1 = main(argv)
+        out1 = capsys.readouterr().out
+        code2 = main(argv)
+        out2 = capsys.readouterr().out
+        assert (code1, out1) == (code2, out2)
+
+
+def test_channel_chained_values_exit_1(tmp_path, capsys):
+    # 0, 0.8e-9 and 1.6e-9 sit within the tolerance of their neighbours
+    # but span more than it, so they cannot be read as one symbol
+    path = tmp_path / "chain.csv"
+    path.write_text("# n=2\nindex,value\n0,0\n1,0.0000000008\n"
+                    "2,0.0000000016\n3,1\n")
+    assert main(["channel", "--f", f"@{path}", "--g", "x1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: values from 0.0 to 1.6e-09 chain into one symbol spanning "
+        "1.6e-09, more than the merge tolerance 1e-09\n")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compwiretap import (
     MultilinearPolynomial,
@@ -137,6 +139,32 @@ def test_serialize_float_coefficients_roundtrip():
     text = serialize_poly(poly)
     assert text == "1/2*x1 + 1/2*x2 + 1/2*x3 - 1/2*x1*x2*x3"
     assert parse_poly(text) == poly  # Fraction(1,2) == 0.5
+
+
+# Coefficients the canonical form writes as exact fractions: rationals,
+# and dyadic floats such as transforms of ±1 or quarter-valued tables.
+_EXACT_COEFFICIENTS = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=64),
+    st.builds(lambda k, e: k / 2.0 ** e,
+              st.integers(-(1 << 30), 1 << 30), st.integers(0, 40)))
+
+
+@st.composite
+def _exact_polynomials(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    coeffs = draw(st.dictionaries(
+        st.integers(0, (1 << n) - 1),
+        _EXACT_COEFFICIENTS.filter(lambda c: c != 0), max_size=24))
+    return MultilinearPolynomial(n, coeffs)
+
+
+@given(_exact_polynomials())
+def test_parse_serialize_roundtrip_property(poly):
+    text = serialize_poly(poly)
+    again = parse_poly(text, declared_n=poly.n)
+    assert again == poly
+    assert serialize_poly(poly) == text
+    assert serialize_poly(again) == text
 
 
 # ---------------------------------------------------------------------------

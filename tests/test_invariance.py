@@ -13,6 +13,7 @@ from compwiretap import (
     InputDistribution,
     MultilinearPolynomial,
     PreconditionError,
+    WiretapSpec,
     additive_bound,
     basic_bound,
     corollary_bound,
@@ -372,7 +373,7 @@ def test_verify_invariance_report_fields():
 
 def test_lemma_suite_f_equals_g():
     f, g = chain_pair_polys(5)
-    report = lemma_suite(f, f)
+    report = lemma_suite(WiretapSpec.from_polys(f, f))
     byname = {c.name: c for c in report.checks}
     assert byname["variance_difference"].applicable
     assert byname["variance_difference"].lhs == 0.0
@@ -382,7 +383,8 @@ def test_lemma_suite_f_equals_g():
 
 
 def test_lemma_suite_zchannel_pair():
-    report = lemma_suite(zchannel_f_poly(), zchannel_g_poly())
+    report = lemma_suite(
+        WiretapSpec.from_polys(zchannel_f_poly(), zchannel_g_poly()))
     byname = {c.name: c for c in report.checks}
     # Var[f] = 1 > 1/4: the first lemma does not apply
     assert not byname["variance_difference"].applicable
@@ -400,13 +402,13 @@ def test_lemma_suite_random_pairs():
         n = int(rng.integers(2, 6))
         f = random_rational_poly(rng, n)
         g = random_rational_poly(rng, n)
-        report = lemma_suite(f, g)
+        report = lemma_suite(WiretapSpec.from_polys(f, g))
         assert report.passed
     for _ in range(50):
         n = int(rng.integers(2, 5))
         f = wht(random_boolean_table(rng, n))
         g = wht(random_boolean_table(rng, n))
-        report = lemma_suite(f, g)
+        report = lemma_suite(WiretapSpec.from_polys(f, g))
         byname = {c.name: c for c in report.checks}
         assert byname["influence_product"].applicable
         assert report.passed
