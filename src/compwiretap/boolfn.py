@@ -410,14 +410,6 @@ class InfluenceProfile:
     variance: Real
     mean: Real
 
-    def to_dict(self) -> dict:
-        return {
-            "influences": [float(v) for v in self.influences],
-            "max_influence": float(self.max_influence),
-            "variance": float(self.variance),
-            "mean": float(self.mean),
-        }
-
 
 def influence_profile(poly: MultilinearPolynomial) -> InfluenceProfile:
     infl = tuple(influence_spectral(poly, t) for t in range(1, poly.n + 1))

@@ -18,7 +18,7 @@ channel views all read one :class:`JointDistribution`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -85,23 +85,48 @@ class WiretapSpec:
         return cls(f, g, wht(f), wht(g))
 
 
-def _merge_values(values: np.ndarray, tol: float = VALUE_MERGE_TOL):
-    """Cluster reals into an alphabet; gaps > tol split clusters.
+def _plain(value, skip=()):
+    """JSON-ready view of a report, recursively.
+
+    A dataclass becomes ``{field: value}`` in field order, leaving out
+    the fields named in ``skip``; an array, tuple or list becomes a list.
+    """
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in fields(value) if f.name not in skip}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
+
+
+class Report:
+    """Base of the report dataclasses here and in :mod:`.invariance`:
+    ``to_dict`` maps each field, in field order, to its plain value, so
+    the keys are the field names."""
+
+    def to_dict(self) -> dict:
+        return _plain(self)
+
+
+def _merge_values(values: np.ndarray):
+    """Cluster reals into an alphabet; gaps > VALUE_MERGE_TOL split clusters.
 
     Returns (sorted representative values, per-input cluster labels).
-    Raises ``ValueError`` when a cluster spans more than tol, since its
-    values then chain together rather than round to one value.
+    Raises ``ValueError`` when a cluster spans more than the tolerance,
+    since its values then chain together rather than round to one value.
     """
     uniq, inverse = np.unique(values, return_inverse=True)
-    split = np.diff(uniq) > tol
+    split = np.diff(uniq) > VALUE_MERGE_TOL
     boundaries = np.flatnonzero(split)
     lows, highs = uniq[np.r_[0, boundaries + 1]], uniq[np.r_[boundaries, -1]]
-    wide = np.flatnonzero(highs - lows > tol)
+    wide = np.flatnonzero(highs - lows > VALUE_MERGE_TOL)
     if wide.size:
         lo, hi = float(lows[wide[0]]), float(highs[wide[0]])
         raise ValueError(
             f"values from {lo!r} to {hi!r} chain into one symbol spanning "
-            f"{hi - lo:.3g}, more than the merge tolerance {tol:g}")
+            f"{hi - lo:.3g}, more than the merge tolerance {VALUE_MERGE_TOL:g}")
     cluster_of_uniq = np.r_[0, np.cumsum(split)]
     reps = np.bincount(cluster_of_uniq, weights=uniq) / np.bincount(cluster_of_uniq)
     return tuple(float(r) for r in reps), cluster_of_uniq[inverse]
@@ -119,7 +144,7 @@ def _histogram(rows: np.ndarray, cols: np.ndarray):
 
 
 @dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Report):
     """Exact joint of (u = g(x), v = f(x)) under uniform x."""
 
     u_values: tuple
@@ -144,16 +169,9 @@ class JointDistribution:
     def v_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=0)
 
-    def to_dict(self) -> dict:
-        return {
-            "u_values": list(self.u_values),
-            "v_values": list(self.v_values),
-            "probs": self.probs.tolist(),
-        }
-
 
 @dataclass(frozen=True)
-class DiscreteChannel:
+class DiscreteChannel(Report):
     """Row-stochastic conditional matrix Pr(output | input)."""
 
     inputs: tuple
@@ -175,15 +193,6 @@ class DiscreteChannel:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
-    def to_dict(self) -> dict:
-        return {
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "matrix": self.matrix.tolist(),
-            "prior": None if self.prior is None else list(self.prior),
-            "dropped_inputs": list(self.dropped_inputs),
-        }
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -203,37 +212,22 @@ class NoiseModel:
     reconstruction_max_error: float = 0.0
 
     def to_dict(self) -> dict:
-        def bac(v):
-            return "undefined" if v is None else v
-        out = {
-            "kind": self.kind,
-            "noise_values": list(self.noise_values),
-            "noise_probs": list(self.noise_probs),
-            "u_values": list(self.u_values),
-            "joint_u_noise": np.asarray(self.joint_u_noise).tolist(),
-            "reconstruction_max_error": self.reconstruction_max_error,
-        }
+        """The fields without ``poly``; a multiplicative model nests its
+        flip probabilities under ``bac``, "undefined" for None."""
+        bac = ("flip_one_to_minus", "flip_minus_to_one")
+        out = _plain(self, skip=("poly", *bac))
         if self.kind == "multiplicative":
-            out["bac"] = {
-                "flip_one_to_minus": bac(self.flip_one_to_minus),
-                "flip_minus_to_one": bac(self.flip_minus_to_one),
-            }
+            out["bac"] = {name: "undefined" if getattr(self, name) is None
+                          else getattr(self, name) for name in bac}
         return out
 
 
 @dataclass(frozen=True)
-class CommutesReport:
+class CommutesReport(Report):
     """Whether the estimate can always be exact, with a counterexample."""
 
     commutes: bool
     witness: tuple | None = None  # pair of ±1 points when not commuting
-
-    def to_dict(self) -> dict:
-        return {
-            "commutes": self.commutes,
-            "witness": None if self.witness is None
-            else [list(self.witness[0]), list(self.witness[1])],
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,8 @@ def _cmd_analyze(args):
         "n": poly.n,
         "expression": funcdsl.serialize_poly(poly),
         "terms": terms,
-        "mean": float(boolfn.mean(poly)),
-        "variance": float(boolfn.variance(poly)),
+        "mean": float(profile.mean),
+        "variance": float(profile.variance),
         "degree": boolfn.degree(poly),
         "term_count": boolfn.term_count(poly),
         "influences": [float(v) for v in profile.influences],
@@ -166,20 +166,22 @@ def _cmd_invariance(args):
     else:
         spec = _load_pair(args)
         f_poly, g_poly = spec.f_poly, spec.g_poly
-        both_boolean = (boolfn.is_boolean_valued(spec.f_table)
-                        and boolfn.is_boolean_valued(spec.g_table))
-        if both_boolean:
-            # The spec's tables settle the ±1 precondition, and the
-            # product is built once for the noise and the variant's k.
+        try:
+            bound = invariance.multiplicative_bound(spec, c4)
+        except PreconditionError:
+            mode = "additive"
+            target = boolfn.sub(f_poly, g_poly)
+            bound = invariance.additive_bound(f_poly, g_poly, c4)
+            bounds_info["kind"] = "additive"
+            bounds_info["k"] = boolfn.degree(f_poly) * boolfn.degree(g_poly)
+        else:
+            # The product is built once for the noise and the variant's k.
             mode = "multiplicative"
             target = boolfn.mul(f_poly, g_poly)
             k_factor = boolfn.degree(f_poly) * boolfn.degree(g_poly)
             k_product = boolfn.degree(target)
-            bound = invariance._multiplicative_formula(
-                f_poly, g_poly, c4,
-                max(boolfn.degree(f_poly), 1) * max(boolfn.degree(g_poly), 1))
-            variant = invariance._multiplicative_formula(
-                f_poly, g_poly, c4, max(k_product, 1))
+            variant = invariance.multiplicative_bound(
+                spec, c4, k=max(k_product, 1))
             bounds_info.update({
                 "kind": "multiplicative",
                 "k_factor_degrees": k_factor,
@@ -194,12 +196,6 @@ def _cmd_invariance(args):
                     "the k = deg(f)*deg(g) exponent makes the literal bound "
                     f"{bound / variant:.6g}x larger than the deg(f*g) "
                     "variant; the variant is the tighter valid bound")
-        else:
-            mode = "additive"
-            target = boolfn.sub(f_poly, g_poly)
-            bound = invariance.additive_bound(f_poly, g_poly, c4)
-            bounds_info["kind"] = "additive"
-            bounds_info["k"] = boolfn.degree(f_poly) * boolfn.degree(g_poly)
         bounds_info["eps"] = float(
             max(boolfn.max_influence(f_poly), boolfn.max_influence(g_poly)))
 

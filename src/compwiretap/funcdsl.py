@@ -10,6 +10,8 @@ Two concrete formats:
       factor   := rational | variable | '(' expr ')'
       variable := 'x' [1-9][0-9]*
       rational := integer ('/' positive-integer)? | decimal
+      decimal  := (digits '.' digits? | '.' digits | digits) exponent?
+      exponent := ('e'|'E') ('+'|'-')? digit{1,3}
 
   ``*`` binds tighter than binary ``+``/``-``; whitespace is
   insignificant between tokens (fraction literals like ``1/2`` are a
@@ -51,7 +53,7 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<frac>\d+/\d+)
-  | (?P<num>\d+\.\d*|\.\d+|\d+)
+  | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?(?P<exp>\d+))?)
   | (?P<var>x\d+)
   | (?P<op>[+\-*()])
 """, re.VERBOSE)
@@ -70,6 +72,10 @@ def _tokenize(text: str) -> list:
                 raise ParseError("zero denominator in rational", pos)
             tokens.append(("num", Fraction(int(num), int(den)), pos))
         elif m.lastgroup == "num":
+            # a float's repr needs at most 3 exponent digits; a longer
+            # exponent would make the exact rational huge
+            if len(m.group("exp") or "") > 3:
+                raise ParseError("decimal exponent has more than 3 digits", pos)
             tokens.append(("num", Fraction(m.group()), pos))
         elif m.lastgroup == "var":
             digits = m.group()[1:]
@@ -221,8 +227,12 @@ def _monomial(mask: int) -> str:
 def serialize_poly(poly: MultilinearPolynomial) -> str:
     """Canonical text form: terms sorted by (subset size, mask value).
 
-    ``parse_poly(serialize_poly(p))`` reproduces ``p``; serializing again
-    yields the same text.
+    Exact coefficients, and floats whose ratio fits in 2**53, are written
+    as fractions, so ``parse_poly(serialize_poly(p))`` reproduces them
+    exactly.  Any other float is written as its ``repr``, which reads
+    back as that decimal's exact rational: 0.1 comes back as
+    ``Fraction(1, 10)``, whose float is 0.1 again.  The text is stable
+    from the second serialization on.
     """
     if not poly.coeffs:
         return "0"

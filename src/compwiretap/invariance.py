@@ -26,7 +26,7 @@ float conversion, so dyadic results are bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -47,7 +47,7 @@ from .boolfn import (
     term_count,
     variance,
 )
-from .channels import WiretapSpec
+from .channels import Report, WiretapSpec
 
 #: Slack used when checking the lemma inequalities numerically.
 LEMMA_SLACK = 1e-10
@@ -131,7 +131,7 @@ DISTRIBUTIONS = {
 
 
 @dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Report):
     """First four moments of a coordinate distribution with pass flags.
 
     ``moments`` are the declared exact moments when the distribution has
@@ -149,20 +149,6 @@ class MomentReport:
     flags: tuple
     passed: bool
     exact: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "distribution": self.distribution,
-            "samples": self.samples,
-            "seed": self.seed,
-            "moments": list(self.moments),
-            "stderrs": list(self.stderrs),
-            "empirical_moments": list(self.empirical_moments),
-            "empirical_stderrs": list(self.empirical_stderrs),
-            "flags": list(self.flags),
-            "passed": self.passed,
-            "exact": self.exact,
-        }
 
 
 def _moment_flags(moments, stderrs) -> tuple:
@@ -280,30 +266,24 @@ def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
     return float(_frac(c4) * Fraction(k * 9 ** k, 3) * eps)
 
 
-def multiplicative_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
-                         c4, use_product_degree: bool = False) -> float:
-    """(C/3) * k * l * 9**k * eps for the noise N = f*g.
+def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
+    """(C/3) * k * l * 9**k * eps for the noise N = f*g of ``spec``'s pair.
 
-    Requires ±1-valued f and g.  By default k = deg(f)*deg(g) and
-    l = terms(f)*terms(g), degrees taken as at least 1; with
-    ``use_product_degree`` the exponent uses k = deg(f*g) instead, which
-    is never larger and often far smaller.
+    Requires ±1-valued f and g, read from the spec's tables.  By default
+    k = deg(f)*deg(g), degrees taken as at least 1; a caller may pass
+    the exponent instead, such as k = deg(f*g), which is never larger
+    and often far smaller.  The result is a bound only for
+    k >= max(deg(f*g), 1); k < 1 raises ValueError.  l = terms(f)*terms(g).
     """
     _check_c4(c4)
-    for name, poly in (("f", f), ("g", g)):
-        if not is_boolean_valued(inverse_wht(poly)):
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k!r}")
+    for name, table in (("f", spec.f_table), ("g", spec.g_table)):
+        if not is_boolean_valued(table):
             raise PreconditionError(f"{name} is not ±1-valued")
-    if use_product_degree:
-        k = max(degree(mul(f, g)), 1)
-    else:
+    f, g = spec.f_poly, spec.g_poly
+    if k is None:
         k = _degree_at_least_one(f) * _degree_at_least_one(g)
-    return _multiplicative_formula(f, g, c4, k)
-
-
-def _multiplicative_formula(f: MultilinearPolynomial, g: MultilinearPolynomial,
-                            c4, k: int) -> float:
-    """(C/3) * k * l * 9**k * eps for ±1-valued f, g (not checked here)."""
-    _check_c4(c4)
     l = term_count(f) * term_count(g)
     eps = _pair_epsilon(f, g)
     return float(_frac(c4) * Fraction(k * l * 9 ** k, 3) * eps)
@@ -451,12 +431,12 @@ def expect_gaussian_mc(poly: MultilinearPolynomial, psi, samples: int,
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Report):
     """Exact ±1 expectation vs Gaussian estimate vs theoretical bound."""
 
     psi: str
-    lhs: float
-    rhs: float
+    lhs_exact: float
+    rhs_gaussian: float
     stderr: float
     samples: int
     seed: int
@@ -465,20 +445,6 @@ class InvarianceReport:
     z: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "psi": self.psi,
-            "lhs_exact": self.lhs,
-            "rhs_gaussian": self.rhs,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "delta": self.delta,
-            "bound": self.bound,
-            "z": self.z,
-            "passed": self.passed,
-        }
-
 
 def _report(name: str, lhs: float, estimate: tuple, bound: float,
             samples: int, seed: int, z: float) -> InvarianceReport:
@@ -486,8 +452,8 @@ def _report(name: str, lhs: float, estimate: tuple, bound: float,
     delta = abs(lhs - rhs)
     return InvarianceReport(
         psi=name,
-        lhs=lhs,
-        rhs=rhs,
+        lhs_exact=lhs,
+        rhs_gaussian=rhs,
         stderr=stderr,
         samples=samples,
         seed=seed,
@@ -531,7 +497,7 @@ def verify_invariance_many(polys, psi, bounds, samples: int = 1_000_000,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(Report):
     name: str
     applicable: bool
     reason: str | None
@@ -539,30 +505,15 @@ class LemmaCheck:
     bound: float | None
     passed: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class LemmaSuiteReport:
+class LemmaSuiteReport(Report):
     checks: tuple
+    passed: bool = field(init=False)  # every applicable check passed
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.applicable)
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "passed": self.passed,
-        }
+    def __post_init__(self):
+        object.__setattr__(
+            self, "passed", all(c.passed for c in self.checks if c.applicable))
 
 
 def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:

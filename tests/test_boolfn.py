@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from compwiretap import (
     MultilinearPolynomial,
@@ -334,6 +335,11 @@ def test_is_boolean_valued():
     assert is_boolean_valued(inverse_wht(zchannel_g_poly()))
     # within tolerance counts as Boolean
     assert is_boolean_valued(TruthTable(1, [1.0 + 5e-10, -1.0]))
+    # one off value, the last of 2^17, makes the table not Boolean
+    values = np.where(np.arange(1 << 17) % 3 == 0, -1.0, 1.0)
+    assert is_boolean_valued(TruthTable(17, values))
+    values[-1] = 1.0 + 2e-9
+    assert not is_boolean_valued(TruthTable(17, values))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +462,30 @@ def test_parseval_random():
         lhs = sum(float(v) ** 2 for v in poly.coeffs.values())
         rhs = float(np.mean(t.values ** 2))
         assert abs(lhs - rhs) <= 1e-10
+
+
+@st.composite
+def _float_tables(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    return TruthTable(n, draw(hnp.arrays(
+        np.float64, 1 << n, elements=st.floats(-8, 8))))
+
+
+@given(_float_tables())
+def test_wht_roundtrip_property(table):
+    # pruned coefficients add up: each of the 2^n moves a value by at
+    # most PRUNE_TOL
+    back = inverse_wht(wht(table)).values
+    assert (np.max(np.abs(back - table.values))
+            <= 1e-9 + (1 << table.n) * boolfn.PRUNE_TOL)
+
+
+@given(_float_tables())
+def test_parseval_property(table):
+    lhs = sum(v * v for v in wht(table).coeffs.values())
+    rhs = float(np.mean(np.square(table.values)))
+    # relative for rounding, plus the most the pruned coefficients can hold
+    assert abs(lhs - rhs) <= 1e-9 * rhs + (1 << table.n) * boolfn.PRUNE_TOL ** 2
 
 
 def test_flip_equals_spectral_random():

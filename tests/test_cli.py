@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -368,6 +369,56 @@ def test_pretty_format(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "variance: 1.0" in out
+
+
+def _zchannel_spec():
+    return channels.WiretapSpec.from_polys(
+        funcdsl.parse_poly(ZCHAN_F), funcdsl.parse_poly(ZCHAN_G))
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """One report of each class the CLI renders, from the z-channel pair."""
+    spec = _zchannel_spec()
+    joint = channels.joint_distribution(spec)
+    lemmas = invariance.lemma_suite(spec)
+    return {
+        "joint": joint,
+        "classic": channels.classic_channel(joint),
+        "posterior": channels.posterior_channel(joint),
+        "commutes": channels.commutes(spec),
+        "commutes_witness": channels.commutes(
+            channels.WiretapSpec.from_polys(
+                funcdsl.parse_poly("x1"), funcdsl.parse_poly("x1*x2"))),
+        "moments": invariance.hypothesis_check(
+            invariance.DISTRIBUTIONS["gaussian"], 10_000),
+        "invariance": invariance.verify_invariance(
+            funcdsl.parse_poly(MAJ3), "cos", 91.125, samples=1000),
+        "lemma_check": lemmas.checks[0],
+        "lemma_suite": lemmas,
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "classic", "commutes", "commutes_witness", "invariance", "joint",
+    "lemma_check", "lemma_suite", "moments", "posterior"])
+def test_report_keys_are_field_names(reports, name):
+    # pretty output follows key order, so keys must follow field order
+    report = reports[name]
+    out = report.to_dict()
+    assert list(out) == [f.name for f in dataclasses.fields(report)]
+    json.dumps(out)  # plain values only
+
+
+def test_noise_model_keys():
+    spec = _zchannel_spec()
+    common = ["kind", "noise_values", "noise_probs", "u_values",
+              "joint_u_noise", "reconstruction_max_error"]
+    assert list(channels.additive_noise(spec).to_dict()) == common
+    out = channels.multiplicative_noise(spec).to_dict()
+    assert list(out) == common + ["bac"]
+    assert list(out["bac"]) == ["flip_one_to_minus", "flip_minus_to_one"]
+    json.dumps(out)
 
 
 def test_mixed_n_functions_lift(capsys):

@@ -167,6 +167,42 @@ def test_parse_serialize_roundtrip_property(poly):
     assert serialize_poly(again) == text
 
 
+@st.composite
+def _float_polynomials(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    coeffs = draw(st.dictionaries(
+        st.integers(0, (1 << n) - 1),
+        st.floats(allow_nan=False, allow_infinity=False).filter(lambda c: c != 0),
+        max_size=24))
+    return MultilinearPolynomial(n, coeffs)
+
+
+@given(_float_polynomials())
+def test_parse_serialize_roundtrip_float_property(poly):
+    # a float written as its repr reads back as that decimal's rational,
+    # whose float is the original; the text settles after one more pass
+    text = serialize_poly(poly)
+    again = parse_poly(text, declared_n=poly.n)
+    assert set(again.coeffs) == set(poly.coeffs)
+    for mask, value in poly.coeffs.items():
+        assert float(again.coeffs[mask]) == value
+    settled = serialize_poly(again)
+    assert serialize_poly(parse_poly(settled, declared_n=poly.n)) == settled
+
+
+@pytest.mark.parametrize("value", [1e-20, 1.5e-07, 1e16, -2.5e300, 5e-324])
+def test_serialize_exponent_floats_parse_back(value):
+    text = serialize_poly(MultilinearPolynomial(2, {1: value}))
+    assert "e" in text
+    assert float(parse_poly(text).coeffs[1]) == value
+
+
+def test_parse_decimal_exponent():
+    assert parse_poly("2E3 + .5e-1*x2").coeffs == {0: 2000, 2: Fraction(1, 20)}
+    with pytest.raises(ParseError, match="exponent"):
+        parse_poly("1e1000*x1")
+
+
 # ---------------------------------------------------------------------------
 # Truth-table files
 # ---------------------------------------------------------------------------

@@ -43,15 +43,32 @@ CASES = {
     "readme_lemmas": (
         ["lemmas", "--f", "1/8*(x1*x2 + x2*x3)", "--g", "1/8*(x1 + x2 + x3)"], 0),
     "readme_moments": (["moments", "--dist", "gaussian", "--samples", "100000"], 0),
+    # pretty output follows each report's key order; csv flattens lists
+    "readme_moments_pretty": (
+        ["moments", "--dist", "gaussian", "--samples", "100000",
+         "--format", "pretty"], 0),
+    "readme_invariance_pretty": (
+        ["invariance", "--f", MAJ3, "--psi", "cos", "--seed", "0", *SAMPLES,
+         "--format", "pretty"], 0),
+    "readme_lemmas_pretty": (
+        ["lemmas", "--f", "1/8*(x1*x2 + x2*x3)", "--g", "1/8*(x1 + x2 + x3)",
+         "--format", "pretty"], 0),
+    "readme_commute_csv": (
+        ["commute", "--f", "x1 + 2*x2 + 4*x3", "--g", "x1*x2", "--format", "csv"], 0),
     "pm8_analyze_f": (["analyze", "--f", PM8_F], 0),
     "pm8_analyze_g": (["analyze", "--f", PM8_G], 0),
     "pm8_channel": (["channel", "--f", PM8_F, "--g", PM8_G], 0),
     "pm8_commute": (["commute", "--f", PM8_F, "--g", PM8_G], 0),
+    "pm8_commute_csv": (
+        ["commute", "--f", PM8_F, "--g", PM8_G, "--format", "csv"], 0),
     "pm8_lemmas": (["lemmas", "--f", PM8_F, "--g", PM8_G], 0),
     "pm8_lemmas_csv": (["lemmas", "--f", PM8_F, "--g", PM8_G, "--format", "csv"], 0),
     "pm8_invariance": (
         ["invariance", "--f", PM8_F, "--g", PM8_G, "--psi", "sin",
          "--seed", "1", *SAMPLES], 0),
+    "pm8_invariance_pretty": (
+        ["invariance", "--f", PM8_F, "--g", PM8_G, "--psi", "sin",
+         "--seed", "1", *SAMPLES, "--format", "pretty"], 0),
     "real6_analyze": (["analyze", "--f", REAL6], 0),
     "real6_invariance": (
         ["invariance", "--f", REAL6, "--psi", "quartic", "--seed", "2", *SAMPLES], 0),

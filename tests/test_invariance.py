@@ -17,11 +17,13 @@ from compwiretap import (
     additive_bound,
     basic_bound,
     corollary_bound,
+    degree,
     expect_exact,
     expect_gaussian_mc,
     hypothesis_check,
     lemma_suite,
     max_influence,
+    mul,
     multiplicative_bound,
     parse_poly,
     sub,
@@ -140,22 +142,27 @@ def test_additive_bound_variance_precondition():
 
 def test_multiplicative_bound_zchannel():
     f, g = zchannel_f_poly(), zchannel_g_poly()
-    literal = multiplicative_bound(f, g, 1.0)
+    spec = WiretapSpec.from_polys(f, g)
+    literal = multiplicative_bound(spec, 1.0)
     assert literal == 24 * 9 ** 9  # (1/3)*9*8*9^9 with eps = 1
     assert abs(literal - 9.298091736e9) <= 1e-3 * literal
-    variant = multiplicative_bound(f, g, 1.0, use_product_degree=True)
+    variant = multiplicative_bound(spec, 1.0, k=max(degree(mul(f, g)), 1))
     assert variant == 5832.0  # (1/3)*3*8*9^3
     assert literal > 1e5  # the literal formula is far above 10^5
 
 
 def test_multiplicative_bound_trivial_cases():
     x1 = parse_poly("x1")
-    assert multiplicative_bound(x1, x1, 1.0) == 3.0  # k=1, l=1, eps=1
+    # k=1, l=1, eps=1
+    assert multiplicative_bound(WiretapSpec.from_polys(x1, x1), 1.0) == 3.0
     one = parse_poly("1", declared_n=1)
     # constant g: treated as degree 1, one term -> same as f alone
-    assert multiplicative_bound(x1, one, 1.0) == 3.0
+    assert multiplicative_bound(WiretapSpec.from_polys(x1, one), 1.0) == 3.0
     with pytest.raises(PreconditionError):
-        multiplicative_bound(x1, parse_poly("1/2*x1"), 1.0)
+        multiplicative_bound(
+            WiretapSpec.from_polys(x1, parse_poly("1/2*x1")), 1.0)
+    with pytest.raises(ValueError):
+        multiplicative_bound(WiretapSpec.from_polys(x1, x1), 1.0, k=0)
 
 
 def test_corollary_dominates_basic_on_low_influence():
@@ -233,8 +240,8 @@ def test_bare_callable_psi():
     poly = maj3_poly()
     report = verify_invariance(poly, np.cos, 91.125, samples=20_000)
     assert report.psi == "cos"
-    assert report.lhs == expect_exact(poly, "cos")
-    assert report.rhs == expect_gaussian_mc(poly, "cos", 20_000)[0]
+    assert report.lhs_exact == expect_exact(poly, "cos")
+    assert report.rhs_gaussian == expect_gaussian_mc(poly, "cos", 20_000)[0]
 
 
 def test_gaussian_chunks_are_per_index():
