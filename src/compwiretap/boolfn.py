@@ -134,6 +134,9 @@ def points_matrix(n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.float64)
 
 
+_REALS = (float, Fraction, int)
+
+
 class MultilinearPolynomial:
     """Sparse map from subset masks to real Fourier coefficients.
 
@@ -152,7 +155,8 @@ class MultilinearPolynomial:
             if mask < 0 or mask >= limit:
                 raise ValueError(
                     f"mask {mask} does not fit in n={n} bits")
-            if not isinstance(value, Real):
+            # exact types first: the ABC check of Real is slow
+            if type(value) not in _REALS and not isinstance(value, Real):
                 raise ValueError(f"coefficient {value!r} is not a real number")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"coefficient for mask {mask} is not finite")
@@ -237,11 +241,9 @@ def _spectrum(a: np.ndarray, n: int) -> MultilinearPolynomial:
     """Coefficients of the table held in ``a`` (overwritten), pruned."""
     _butterfly(a)
     a /= 1 << n
-    coeffs = {}
     # ~(|c| <= tol) keeps NaN, so an overflowed transform fails loudly.
-    for mask in np.nonzero(~(np.abs(a) <= PRUNE_TOL))[0]:
-        coeffs[int(mask)] = float(a[mask])
-    return MultilinearPolynomial(n, coeffs)
+    keep = np.flatnonzero(~(np.abs(a) <= PRUNE_TOL))
+    return MultilinearPolynomial(n, dict(zip(keep.tolist(), a[keep].tolist())))
 
 
 def _values(poly: MultilinearPolynomial) -> np.ndarray:

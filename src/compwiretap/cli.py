@@ -85,14 +85,10 @@ def _cmd_analyze(args):
     if table is None:
         table = boolfn.inverse_wht(poly)
     profile = boolfn.influence_profile(poly)
-    terms = []
-    for mask in sorted(poly.coeffs, key=lambda m: (m.bit_count(), m)):
-        value = poly.coeffs[mask]
-        terms.append({
-            "variables": [j + 1 for j in range(poly.n) if mask >> j & 1],
-            "coefficient": float(value),
-            "exact": funcdsl._coeff_string(value),
-        })
+    terms = [{"variables": [j + 1 for j in range(poly.n) if mask >> j & 1],
+              "coefficient": float(value),
+              "exact": f"-{mag}" if negative else mag}
+             for mask, value, negative, mag, _ in funcdsl.canonical_terms(poly)]
     report = {
         "n": poly.n,
         "expression": funcdsl.serialize_poly(poly),
@@ -375,6 +371,10 @@ def main(argv=None) -> int:
         return 2
     except (funcdsl.ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # an exact input value too large to become a float
+        print(f"error: a value is outside float range ({exc})", file=sys.stderr)
         return 1
     return code
 

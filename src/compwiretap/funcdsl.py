@@ -50,10 +50,12 @@ class ParseError(ValueError):
 # Expression language
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
+_DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)"
+
+_TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
   | (?P<frac>\d+/\d+)
-  | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?(?P<exp>\d+))?)
+  | (?P<num>{_DECIMAL}(?:[eE][+-]?(?P<exp>\d+))?)
   | (?P<var>x\d+)
   | (?P<op>[+\-*()])
 """, re.VERBOSE)
@@ -224,6 +226,45 @@ def _monomial(mask: int) -> str:
     return "*".join(names)
 
 
+def canonical_terms(poly: MultilinearPolynomial):
+    """Yield ``(mask, value, negative, magnitude, monomial)`` per term,
+    ordered by (subset size, mask value).
+
+    ``magnitude`` is the coefficient string of ``|value|``; ``monomial``
+    is like ``x1*x3`` ("" for the constant).  Within one call a non-
+    Fraction magnitude is formatted once per (type, value), so 0.1 and
+    ``Fraction(1, 10)`` keep their own strings (a Fraction's ``str`` is
+    cheaper than the lookup), and a monomial whose parent (the mask
+    without its highest bit) came earlier extends the parent's name.
+    """
+    magnitudes = {}
+    names = {0: ""}
+    # stable sorts: by mask, then by subset size
+    for mask in sorted(sorted(poly.coeffs), key=int.bit_count):
+        value = poly.coeffs[mask]
+        negative = value < 0
+        mag = -value if negative else value
+        if type(mag) is Fraction:
+            text = str(mag)  # what _coeff_string gives: "num/den" or "num"
+        else:
+            key = (type(mag), mag)
+            text = magnitudes.get(key)
+            if text is None:
+                text = magnitudes[key] = _coeff_string(mag)
+        name = ""
+        if mask:
+            high = mask.bit_length() - 1
+            parent = names.get(mask ^ (1 << high))
+            if parent is None:
+                name = _monomial(mask)
+            elif parent:
+                name = f"{parent}*{_VARIABLES[high]}"
+            else:
+                name = _VARIABLES[high]
+            names[mask] = name
+        yield mask, value, negative, text, name
+
+
 def serialize_poly(poly: MultilinearPolynomial) -> str:
     """Canonical text form: terms sorted by (subset size, mask value).
 
@@ -237,11 +278,7 @@ def serialize_poly(poly: MultilinearPolynomial) -> str:
     if not poly.coeffs:
         return "0"
     parts = []
-    for mask in sorted(poly.coeffs, key=lambda m: (m.bit_count(), m)):
-        value = poly.coeffs[mask]
-        negative = value < 0
-        mag = _coeff_string(-value if negative else value)
-        mono = _monomial(mask)
+    for _, _, negative, mag, mono in canonical_terms(poly):
         if mono and mag == "1":
             body = mono
         elif mono:
@@ -260,6 +297,16 @@ def serialize_poly(poly: MultilinearPolynomial) -> str:
 # ---------------------------------------------------------------------------
 
 _N_RE = re.compile(r"n\s*=\s*(\d+)")
+
+# A data row ``index,decimal`` as the fast path reads it: ASCII digits,
+# an index that fits int64, a signed decimal with an exponent of at most
+# 3 digits, no space inside.
+_PLAIN_ROW = rf"\d{{1,18}},[+-]?{_DECIMAL}(?:[eE][+-]?\d{{1,3}})?"
+#: The first line that begins with a digit: where plain data rows start.
+_FIRST_ROW_RE = re.compile(r"^[ \t]*\d", re.ASCII | re.MULTILINE)
+#: Plain data rows, one to a line, with blank lines allowed between.
+_PLAIN_ROWS_RE = re.compile(
+    rf"[ \t]*{_PLAIN_ROW}(?:[ \t]*[\n\r\v\f]\s*{_PLAIN_ROW})*\s*", re.ASCII)
 
 
 def _parse_first_field(field: str, n: int, lineno: int) -> int:
@@ -290,12 +337,17 @@ def _parse_value(field: str, lineno: int) -> float:
         return float(Fraction(field.strip()))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"line {lineno}: unparseable value {field!r}") from None
+    except OverflowError:
+        raise ParseError(
+            f"line {lineno}: value {field!r} is outside float range") from None
 
 
-def _parse_table_csv(text: str) -> TruthTable:
+def _split_lines(lines) -> tuple:
+    """The ``n`` the header lines declare (None if none) and the data rows
+    as ``(lineno, line)``; blank, comment and header lines are skipped."""
     n = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -310,17 +362,60 @@ def _parse_table_csv(text: str) -> TruthTable:
         if line.lower().replace(" ", "") == "index,value":
             continue
         rows.append((lineno, line))
-    if not rows:
+    return n, rows
+
+
+def _table_n(n: int | None, count: int) -> int:
+    """The table's n, checked against (or inferred from) its row count."""
+    if not count:
         raise ParseError("table file has no data rows")
     if n is None:
-        count = len(rows)
         if count & (count - 1) or count < 2:
             raise ParseError(
                 f"no 'n=' header and row count {count} is not a power of two")
         n = count.bit_length() - 1
-    if len(rows) != (1 << n):
-        raise ParseError(
-            f"expected {1 << n} rows for n={n}, found {len(rows)}")
+    if count != (1 << n):
+        raise ParseError(f"expected {1 << n} rows for n={n}, found {count}")
+    return n
+
+
+def _parse_plain_rows(text: str) -> TruthTable | None:
+    """The table of a file whose data rows are all plain, else None.
+
+    A plain file is header, comment and blank lines followed by data rows
+    ``index,decimal``, one to a line, with blank lines between.  Its
+    values are read by ``float``, which rounds a decimal correctly, as
+    ``float(Fraction(s))`` does; -0 is stored as +0.0, since a Fraction
+    has no sign of zero.  Any file this path declines (a value out of
+    float range, an index out of range, duplicated or missing) goes to
+    the row-by-row reader, which reports the error.
+    """
+    first = _FIRST_ROW_RE.search(text)
+    if first is None:
+        return None
+    n, rows = _split_lines(text[:first.start()].splitlines())
+    body = text[first.start():]
+    if rows or not _PLAIN_ROWS_RE.fullmatch(body):
+        return None
+    fields = body.replace(",", " ").split()
+    n = _table_n(n, len(fields) // 2)
+    index = np.array(list(map(int, fields[0::2])), dtype=np.int64)
+    values = np.array(list(map(float, fields[1::2])))
+    if (index.max() >= 1 << n or not np.all(np.bincount(index) == 1)
+            or not np.all(np.isfinite(values))):
+        return None
+    values += 0.0  # -0.0 becomes +0.0
+    table = np.empty_like(values)
+    table[index] = values
+    return TruthTable(n, table)
+
+
+def _parse_table_csv(text: str) -> TruthTable:
+    table = _parse_plain_rows(text)
+    if table is not None:
+        return table
+    n, rows = _split_lines(text.splitlines())
+    n = _table_n(n, len(rows))
     values = np.full(1 << n, np.nan)
     for lineno, line in rows:
         fields = line.split(",")
@@ -330,9 +425,6 @@ def _parse_table_csv(text: str) -> TruthTable:
         if not np.isnan(values[index]):
             raise ParseError(f"line {lineno}: duplicate index {index}")
         values[index] = _parse_value(fields[1], lineno)
-    if np.any(np.isnan(values)):
-        missing = int(np.flatnonzero(np.isnan(values))[0])
-        raise ParseError(f"missing row for index {missing}")
     return TruthTable(n, values)
 
 

@@ -328,6 +328,29 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= scratch
 
 
+#: The top 53-bit counter, and the largest double below 1.0, where its
+#: midpoint goes.
+_TOP_COUNTER = np.uint64((1 << 53) - 1)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _counter_gaussians(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Normal quantiles of 53-bit counters ``z``, written into ``out``.
+
+    A counter ``k`` maps to the midpoint ``(k + 0.5) * 2**-53`` of its
+    interval.  For ``k = 2**53 - 1`` that midpoint rounds to 1.0, whose
+    quantile is infinite, so it is clamped to the largest double below 1.
+    Every other midpoint is below that double and does not move.  The
+    clamp runs only on a block that holds the top counter, since one
+    integer ``max`` costs far less than a float ``minimum`` on every value.
+    """
+    np.add(z, 0.5, out=out)
+    out *= 2.0 ** -53
+    if z.max() == _TOP_COUNTER:
+        np.minimum(out, _BELOW_ONE, out=out)
+    return ndtri(out, out=out)
+
+
 def _gaussian_chunk(seed: int, n: int, start: int, length: int) -> np.ndarray:
     """Standard-Gaussian block for sample indices [start, start+length).
 
@@ -354,10 +377,7 @@ def _gaussian_chunk(seed: int, n: int, start: int, length: int) -> np.ndarray:
         zb += np.uint64(_K_INDEX)
         _mix64(zb, sb)
         zb >>= np.uint64(11)
-        out = gauss[:, r0:r1]
-        np.add(zb, 0.5, out=out)
-        out *= 2.0 ** -53
-        ndtri(out, out=out)
+        _counter_gaussians(zb, gauss[:, r0:r1])
     return gauss.T
 
 

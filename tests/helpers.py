@@ -4,12 +4,14 @@ Oracles here deliberately use plain Python enumeration (no package
 transforms) so they stay independent of the code paths they check.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from compwiretap import MultilinearPolynomial, TruthTable
+from compwiretap import MultilinearPolynomial, ParseError, TruthTable
+from compwiretap.boolfn import point_to_index
 
 
 def maj3_table() -> TruthTable:
@@ -206,4 +208,80 @@ def reference_gaussian_chunk(seed: int, n: int, start: int,
     base = np.uint64((seed * 0xD6E8FEB86659FD93) & ((1 << 64) - 1))
     z = idx * k_index + coord * np.uint64(0xC2B2AE3D27D4EB4F) + base
     z = mix64(mix64(z) + k_index)
-    return ndtri(((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+    # the top counter's midpoint rounds to 1.0; it is kept below 1
+    uniform = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return ndtri(np.minimum(uniform, np.nextafter(1.0, 0.0)))
+
+
+def reference_parse_table_csv(text: str) -> np.ndarray:
+    """Values of a CSV table file, read one row at a time.
+
+    Every value goes through ``Fraction``; the package's fast path for
+    plain rows must give the same array, byte for byte.
+    """
+    n = None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = re.search(r"n\s*=\s*(\d+)", line)
+            if m:
+                n = int(m.group(1))
+            continue
+        if re.fullmatch(r"n\s*=\s*\d+", line):
+            n = int(re.search(r"\d+", line).group())
+            continue
+        if line.lower().replace(" ", "") == "index,value":
+            continue
+        rows.append((lineno, line))
+    if n is None:
+        n = len(rows).bit_length() - 1
+    if not rows or len(rows) != 1 << n:
+        raise ParseError(f"expected {1 << n} rows, found {len(rows)}")
+    values = np.full(1 << n, np.nan)
+    for lineno, line in rows:
+        first, value = line.split(",")
+        first = first.strip()
+        if re.fullmatch(r"\d+", first):
+            index = int(first)
+        else:
+            index = point_to_index(
+                [1 if p in ("1", "+1") else -1 for p in first.split()])
+        if not np.isnan(values[index]):
+            raise ParseError(f"line {lineno}: duplicate index {index}")
+        values[index] = float(Fraction(value.strip()))
+    return values
+
+
+def reference_serialize_poly(poly: MultilinearPolynomial) -> str:
+    """Canonical text, each term formatted from scratch.
+
+    Terms sorted by (subset size, mask); a coefficient is written as an
+    exact fraction when it is a Fraction or its ratio fits in 2**53, and
+    as the ``repr`` of its float otherwise.
+    """
+    if not poly.coeffs:
+        return "0"
+    parts = []
+    for mask in sorted(poly.coeffs, key=lambda m: (bin(m).count("1"), m)):
+        value = poly.coeffs[mask]
+        negative = value < 0
+        mag = -value if negative else value
+        exact = mag if isinstance(mag, float) else Fraction(mag)
+        num, den = exact.as_integer_ratio()
+        if not isinstance(mag, Fraction) and (abs(num) > 2**53 or den > 2**53):
+            text = repr(float(mag))
+        else:
+            text = str(num) if den == 1 else f"{num}/{den}"
+        mono = "*".join(f"x{j + 1}" for j in range(mask.bit_length()) if mask >> j & 1)
+        if mono:
+            body = mono if text == "1" else f"{text}*{mono}"
+        else:
+            body = text
+        if parts:
+            parts.append(f"{' - ' if negative else ' + '}{body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return "".join(parts)

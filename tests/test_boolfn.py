@@ -85,6 +85,27 @@ def test_polynomial_validation():
     assert term_count(p) == 1
 
 
+def test_polynomial_coefficient_types():
+    for bad in (float("inf"), np.float64("inf"), np.float64("nan")):
+        with pytest.raises(ValueError, match="coefficient for mask 1 is not finite"):
+            MultilinearPolynomial(2, {1: bad})
+    for bad in ("1", 1j, None):
+        with pytest.raises(ValueError, match="is not a real number"):
+            MultilinearPolynomial(2, {1: bad})
+    # bool and numpy scalars are reals, kept as given; False is a zero
+    coeffs = {0: False, 1: True, 2: np.int64(3), 3: np.float64(0.5)}
+    poly = MultilinearPolynomial(2, coeffs)
+    assert poly.coeffs == {1: True, 2: 3, 3: 0.5}
+    assert [type(v) for v in poly.coeffs.values()] == [bool, np.int64, np.float64]
+
+
+def test_wht_overflow_is_not_finite():
+    # 4 * 1e308 overflows in the butterfly: no coefficient is silently inf
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="is not finite"):
+        wht(TruthTable(2, np.full(4, 1e308)))
+
+
 # ---------------------------------------------------------------------------
 # Transform examples
 # ---------------------------------------------------------------------------

@@ -315,6 +315,22 @@ def test_table_n_mismatch_exits_1(tmp_path, capsys):
     assert main(["analyze", "--f", f"@{path}", "--n", "3"]) == 1
 
 
+def test_value_beyond_float_range_exits_1(tmp_path, capsys):
+    # from a table file, and from an exact expression at its float boundary
+    path = tmp_path / "t.csv"
+    path.write_text("# n=1\nindex,value\n0,1e999\n1,2\n")
+    assert main(["analyze", "--f", f"@{path}"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: value '1e999' is outside float range\n"
+    for argv in (["analyze", "--f", "1e999*x1"],
+                 ["channel", "--f", "1e999*x1", "--g", "x1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a value is outside float range")
+        assert "Traceback" not in captured.err
+
+
 def test_json_output_is_byte_stable(capsys):
     for argv in (["invariance", "--f", MAJ3, "--samples", "20000"],
                  ["channel", "--f", ZCHAN_F, "--g", ZCHAN_G],

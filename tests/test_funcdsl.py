@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,15 @@ from compwiretap import (
     term_count,
     wht,
 )
-from helpers import maj3_poly, maj3_table, random_rational_poly, zchannel_g_poly
+from compwiretap import funcdsl
+from helpers import (
+    maj3_poly,
+    maj3_table,
+    random_rational_poly,
+    reference_parse_table_csv,
+    reference_serialize_poly,
+    zchannel_g_poly,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +200,38 @@ def test_parse_serialize_roundtrip_float_property(poly):
     assert serialize_poly(parse_poly(settled, declared_n=poly.n)) == settled
 
 
+# Every kind of coefficient a polynomial may hold; equal floats and
+# Fractions (0.5, Fraction(1, 2)) keep their own strings.
+_ANY_COEFFICIENT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=1 << 60),
+    st.integers(-(1 << 70), 1 << 70),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([0.5, Fraction(1, 2), 0.1, Fraction(1, 10), 1, 1.0, -1]),
+).filter(lambda c: c != 0)
+
+
+@st.composite
+def _mixed_polynomials(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    # up to 64 masks: dense at small n, sparse (parents absent) at large n
+    coeffs = draw(st.dictionaries(
+        st.integers(0, (1 << n) - 1), _ANY_COEFFICIENT, max_size=64))
+    return MultilinearPolynomial(n, coeffs)
+
+
+@given(_mixed_polynomials())
+def test_serialize_matches_reference_property(poly):
+    assert serialize_poly(poly) == reference_serialize_poly(poly)
+
+
+def test_serialize_sparse_masks_without_parents():
+    poly = MultilinearPolynomial(10, {0b1000000001: 0.5, 0b1100000001: Fraction(1, 2),
+                                      0b11: 0.1, 0b111: 1})
+    assert serialize_poly(poly) == reference_serialize_poly(poly) == (
+        "0.1*x1*x2 + 1/2*x1*x10 + x1*x2*x3 + 1/2*x1*x9*x10")
+
+
 @pytest.mark.parametrize("value", [1e-20, 1.5e-07, 1e16, -2.5e300, 5e-324])
 def test_serialize_exponent_floats_parse_back(value):
     text = serialize_poly(MultilinearPolynomial(2, {1: value}))
@@ -237,21 +279,104 @@ def test_parse_table_infers_n():
     assert parse_table(text).n == 2
 
 
+# Malformed tables and the exact message each one raises.
+_ONE_VAR = "# n=1\nindex,value\n"
+_TABLE_ERRORS = [
+    ("# n=3\nindex,value\n" + "\n".join(f"{i},1" for i in range(7)),
+     "expected 8 rows for n=3, found 7"),  # missing row
+    (_ONE_VAR + "0,1\n0,2\n", "line 4: duplicate index 0"),
+    (_ONE_VAR + "0,1\n2,2\n", "line 4: index 2 out of range"),
+    (_ONE_VAR + "0,1\n1,abc\n", "line 4: unparseable value 'abc'"),
+    (_ONE_VAR + "0,inf\n1,2\n", "line 3: unparseable value 'inf'"),
+    (_ONE_VAR + "0,1\n1,nan\n", "line 4: unparseable value 'nan'"),
+    (_ONE_VAR + "0,1\n1,1/0\n", "line 4: unparseable value '1/0'"),
+    (_ONE_VAR + "0,1\n1,2,3\n", "line 4: expected 'index,value'"),
+    (_ONE_VAR + "0,1e999\n1,2\n", "line 3: value '1e999' is outside float range"),
+    (_ONE_VAR + "0,1\n1,-1e999\n", "line 4: value '-1e999' is outside float range"),
+    (_ONE_VAR + "0,1 0\n1,2\n", "line 3: unparseable value '1 0'"),
+    ("# n=2\nindex,value\n+1 0,1\n" + "\n".join(f"{i},1" for i in range(1, 4)),
+     "line 3: non-±1 point entry '0'"),
+    ("# n=2\nindex,value\n+1 -1,1\n0,2\n2,3\n3,4\n", "line 5: duplicate index 2"),
+    ("index,value\n0,1\n1,2\n2,3\n",
+     "no 'n=' header and row count 3 is not a power of two"),
+    ("", "empty table file"),
+]
+
+
 def test_parse_table_errors():
-    with pytest.raises(ParseError):
-        parse_table("# n=3\nindex,value\n" +
-                    "\n".join(f"{i},1" for i in range(7)))  # missing row
-    with pytest.raises(ParseError):
-        parse_table("# n=1\nindex,value\n0,1\n0,2\n")  # duplicate index
-    with pytest.raises(ParseError):
-        parse_table("# n=1\nindex,value\n0,1\n1,abc\n")
-    with pytest.raises(ParseError):
-        parse_table("# n=2\nindex,value\n+1 0,1\n" +
-                    "\n".join(f"{i},1" for i in range(1, 4)))  # non-±1 point
-    with pytest.raises(ParseError):
-        parse_table("index,value\n0,1\n1,2\n2,3\n")  # not a power of two
-    with pytest.raises(ParseError):
-        parse_table("")
+    for text, message in _TABLE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_table(text)
+        assert str(err.value) == message
+
+
+def test_parse_table_accepts_what_fraction_reads():
+    # spaces around a field are stripped, and -0 is stored as +0.0
+    table = parse_table(_ONE_VAR + " 0 , -0.0 \n1,-0\n")
+    assert table.values.tobytes() == np.zeros(2).tobytes()
+    # Fraction reads PEP 515 underscores since Python 3.11
+    if sys.version_info >= (3, 11):
+        assert parse_table(_ONE_VAR + "0,1\n1,1_0\n").values.tolist() == [1.0, 10.0]
+
+
+def _table_value(rng, form: str) -> str:
+    """A value string in one of the forms a table file may hold."""
+    if form == "decimal":
+        return repr(rng.choice([rng.randint(-8, 8) / 4, rng.uniform(-1e3, 1e3)]))
+    if form == "exponent":
+        # at most 7e307, and down into the subnormals and zero
+        mantissa = rng.choice(["1", "2.5", ".125", "7.", "3.0625"])
+        exponent = rng.randint(-330, 307)
+        sign = "+" if exponent >= 0 and rng.random() < 0.5 else ""
+        return f"{mantissa}{rng.choice('eE')}{sign}{exponent}"
+    if form == "signed":
+        return rng.choice("+-") + repr(abs(rng.randint(-8, 8) / 8))
+    if form == "negzero":
+        return rng.choice(["-0", "-0.0", "-.0", "-0e5", "+0.0"])
+    return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"  # a/b
+
+
+@st.composite
+def _csv_tables(draw, max_n=10):
+    """CSV table text: shuffled rows in mixed value forms, blank lines,
+    comments, and sometimes explicit ±1 points."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    forms = draw(st.lists(st.sampled_from(
+        ["decimal", "exponent", "signed", "negzero", "a/b"]), min_size=1, max_size=5))
+    points = draw(st.booleans())
+    extra = draw(st.sampled_from(["", "\n", "  \t\n", "# a comment\n"]))
+    lines = []
+    for index in range(1 << n):
+        first = str(index)
+        if points and n > 1 and rng.random() < 0.2:  # "1" alone is an index
+            first = " ".join(rng.choice(["-1"] if index >> j & 1 else ["1", "+1"])
+                             for j in range(n))
+        lines.append(f"{first},{_table_value(rng, rng.choice(forms))}\n")
+        if rng.random() < 0.05:
+            lines.append(extra)
+    rng.shuffle(lines)
+    header = draw(st.sampled_from([f"# n={n}\nindex,value\n", f"n = {n}\n",
+                                   "index, value\n\n", f"\n# n={n}\n"]))
+    return header + "".join(lines)
+
+
+@given(_csv_tables())
+def test_parse_table_csv_matches_reference_property(text):
+    expected = reference_parse_table_csv(text)
+    assert parse_table(text).values.tobytes() == expected.tobytes()
+
+
+def test_parse_table_plain_rows_take_the_fast_path(monkeypatch):
+    # no value of a plain file goes through the row-by-row reader
+    def refuse(field, lineno):
+        raise AssertionError("row-by-row reader used")
+    monkeypatch.setattr(funcdsl, "_parse_value", refuse)
+    text = "# n=2\nindex,value\n\n3,-0\n 1,+2.5e-1 \n\n0,1E3\r\n2,.5\n\n"
+    table = parse_table(text)
+    assert table.values.tobytes() == np.array([1000.0, 0.25, 0.5, 0.0]).tobytes()
+    with pytest.raises(AssertionError):
+        parse_table(text.replace(".5", "1/2"))
 
 
 def test_parse_table_json():

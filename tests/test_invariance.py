@@ -33,7 +33,7 @@ from compwiretap import (
     wht,
 )
 from compwiretap import invariance
-from compwiretap.invariance import _gaussian_chunk
+from compwiretap.invariance import _counter_gaussians, _gaussian_chunk
 from helpers import (
     chain_pair_polys,
     maj3_poly,
@@ -266,6 +266,18 @@ def test_gaussian_chunk_full_size_matches_reference():
     block = _gaussian_chunk(seed, 24, 1 << 16, 1 << 16)
     assert block.tobytes() == reference_gaussian_chunk(
         seed, 24, 1 << 16, 1 << 16).tobytes()
+
+
+def test_counter_gaussians_are_finite_at_the_top_counter():
+    from scipy.special import ndtri
+    z = np.array([0, 1 << 52, (1 << 53) - 1], dtype=np.uint64)
+    got = _counter_gaussians(z, np.empty(3))
+    assert np.all(np.isfinite(got))
+    # the bottom and middle counters keep their midpoint quantiles
+    assert got[0] == ndtri(0.5 * 2.0 ** -53)
+    assert got[1] == 0.0
+    assert got[2] == ndtri(np.nextafter(1.0, 0.0))
+    assert got[2] > ndtri(1.0 - 2.0 ** -52)
 
 
 def test_gaussian_chunk_row_blocks_do_not_matter(monkeypatch):
