@@ -22,6 +22,8 @@ mix freely.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational, Real
@@ -192,6 +194,30 @@ class MultilinearPolynomial:
 # Transforms
 # ---------------------------------------------------------------------------
 
+#: Most worker threads one dense or Monte Carlo loop starts.
+_MAX_WORKERS = 4
+
+
+def _pool(tasks: int) -> tuple:
+    """``(workers, pool)`` for ``tasks`` independent tasks.
+
+    ``workers`` is the least of the cores this process may run on, of
+    :data:`_MAX_WORKERS` and of ``tasks``.  ``pool`` is a context manager:
+    a fresh thread pool of that many workers, or, for one worker, a null
+    context that yields None and starts no thread.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cores = os.cpu_count() or 1
+    workers = max(1, min(cores, _MAX_WORKERS, tasks))
+    if workers == 1:
+        return 1, nullcontext()
+    # imported here, so a process that never needs a pool never loads it
+    from concurrent.futures import ThreadPoolExecutor
+    return workers, ThreadPoolExecutor(workers)
+
+
 #: Points per cache block of the butterfly: 2**16 doubles (512 KiB) plus
 #: half that in scratch stay resident in a 4 MiB L2 cache.
 _BLOCK = 1 << 16
@@ -215,25 +241,42 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     Computes ``out[S] = sum_i (-1)**popcount(i & S) * a[i]``.  The levels
     with ``h`` below :data:`_BLOCK` run one cache block at a time; the
     remaining levels run on column strips of the ``(rows, _BLOCK)`` grid,
-    copied into the same scratch buffer.  Every element sees the same
-    ``x + y`` and ``x - y`` in the same level order as a plain level loop,
-    so the result is bit-identical to it.
+    copied into scratch.  Every element sees the same ``x + y`` and
+    ``x - y`` in the same level order as a plain level loop, so the
+    result is bit-identical to it.
+
+    With more than one block, the blocks and then the strips are dealt
+    out to worker threads (see :func:`_pool`), each with its own scratch;
+    numpy releases the interpreter lock inside each level.  Blocks and
+    strips are disjoint, so the result does not depend on the number of
+    workers.
     """
     size = a.size
     block = min(size, _BLOCK)
-    scratch = np.empty(block + block // 2, dtype=a.dtype)
-    strip, spare = scratch[:block], scratch[block:]
-    for start in range(0, size, block):
-        _levels(a[start:start + block], spare, 1)
     rows = size // block  # at most block, since size <= 2**MAX_N
-    if rows > 1:
-        grid = a.reshape(rows, block)
-        width = block // rows
+    grid = a.reshape(rows, block)
+    width = block // rows
+    workers, pool = _pool(rows)
+    scratch = np.empty((workers, block + block // 2), dtype=a.dtype)
+
+    def blocks(w):
+        for r in range(w, rows, workers):
+            _levels(grid[r], scratch[w, block:], 1)
+
+    def strips(w):
+        strip, spare = scratch[w, :block], scratch[w, block:]
         cols = strip.reshape(rows, width)
-        for c in range(0, block, width):
+        for c in range(w * width, block, workers * width):
             np.copyto(cols, grid[:, c:c + width])
             _levels(strip, spare, width)
             grid[:, c:c + width] = cols
+
+    with pool as executor:
+        for phase in (blocks, strips) if rows > 1 else (blocks,):
+            if executor is None:
+                phase(0)
+            else:
+                list(executor.map(phase, range(workers)))
     return a
 
 
@@ -248,9 +291,11 @@ def _spectrum(a: np.ndarray, n: int) -> MultilinearPolynomial:
 
 def _values(poly: MultilinearPolynomial) -> np.ndarray:
     """Fresh float array of the polynomial on all 2**n points."""
+    coeffs = poly.coeffs
     a = np.zeros(1 << poly.n, dtype=np.float64)
-    for mask, value in poly.coeffs.items():
-        a[mask] = float(value)
+    masks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    a[masks] = np.fromiter(map(float, coeffs.values()), dtype=np.float64,
+                           count=len(coeffs))
     return _butterfly(a)
 
 

@@ -333,6 +333,12 @@ def _parse_first_field(field: str, n: int, lineno: int) -> int:
 
 
 def _parse_value(field: str, lineno: int) -> float:
+    # the same exponent cap as the expression parser: a longer exponent
+    # would make the exact rational huge
+    exponent = field.lower().partition("e")[2]
+    if sum(c.isdigit() for c in exponent) > 3:
+        raise ParseError(
+            f"line {lineno}: value {field!r} has an exponent of more than 3 digits")
     try:
         return float(Fraction(field.strip()))
     except (ValueError, ZeroDivisionError):

@@ -26,6 +26,7 @@ float conversion, so dyadic results are bit-exact.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -36,6 +37,7 @@ from scipy.special import ndtri
 from .boolfn import (
     MultilinearPolynomial,
     PreconditionError,
+    _pool,
     degree,
     evaluate_batch,
     influence_spectral,
@@ -77,12 +79,19 @@ class TestFunction:
             raise ValueError(f"c4 must be finite and >= 0, got {self.c4!r}")
 
 
+def _quartic(t) -> np.ndarray:
+    """t**4 as two squarings, in place on the first: numpy's general
+    ``pow`` costs about ten times as much."""
+    s = np.square(np.asarray(t, dtype=np.float64))
+    return np.square(s, out=s)
+
+
 PSI_CATALOG = {
     "identity": TestFunction("identity", lambda t: np.asarray(t, dtype=np.float64), 0.0),
     "square": TestFunction("square", np.square, 0.0),
     "cos": TestFunction("cos", np.cos, 1.0),
     "sin": TestFunction("sin", np.sin, 1.0),
-    "quartic": TestFunction("quartic", lambda t: np.asarray(t, dtype=np.float64) ** 4, 24.0),
+    "quartic": TestFunction("quartic", _quartic, 24.0),
 }
 
 
@@ -294,10 +303,21 @@ def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 def expect_exact(poly: MultilinearPolynomial, psi) -> float:
-    """E[psi(F(x))] for uniform ±1 x, by dense enumeration."""
+    """E[psi(F(x))] for uniform ±1 x, by dense enumeration.
+
+    psi runs on slices of :data:`_CHUNK` points, so no second full table
+    is held.  The slice sums are added by recursive halving: for these
+    power-of-two sizes that is the order of numpy's pairwise sum, so the
+    result equals ``np.mean(psi(table))`` bit for bit.
+    """
     fn = _resolve_psi(psi).fn
-    table = inverse_wht(poly)
-    return float(np.mean(np.asarray(fn(table.values), dtype=np.float64)))
+    values = inverse_wht(poly).values
+    sums = np.array([
+        np.add.reduce(np.asarray(fn(values[i:i + _CHUNK]), dtype=np.float64))
+        for i in range(0, values.size, _CHUNK)])
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0] / values.size)
 
 
 # Counter-based sample generation: the Gaussian for (sample i, coordinate
@@ -351,18 +371,20 @@ def _counter_gaussians(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return ndtri(out, out=out)
 
 
-def _gaussian_chunk(seed: int, n: int, start: int, length: int) -> np.ndarray:
+def _gaussian_chunk(seed: int, n: int, start: int, length: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Standard-Gaussian block for sample indices [start, start+length).
 
     Returns a (length, n) view of a coordinate-major array, so each
-    coordinate is one contiguous row for :func:`evaluate_batch`.  Rows
+    coordinate is one contiguous row for :func:`evaluate_batch`; that
+    array is ``out``, of shape (n, length), when given.  Rows
     are generated :data:`_GEN_ROWS` at a time, in place on one uint64
     block and one scratch buffer, and the normal quantile is written
     straight into the result.  The integer steps are exact and the
     float steps act element by element, so the values do not depend on
     the blocking.
     """
-    gauss = np.empty((n, length), dtype=np.float64)
+    gauss = np.empty((n, length), dtype=np.float64) if out is None else out
     coord = (np.arange(n, dtype=np.uint64)[:, None] * np.uint64(_K_COORD)
              + np.uint64((seed * _K_SEED) & _MASK64))
     rows = max(1, min(_GEN_ROWS, length))
@@ -417,6 +439,13 @@ def _gaussian_mc(polys: list, psi, samples: int, seed: int) -> list:
     Every chunk of Gaussians is generated once and evaluated against
     each polynomial in turn; each polynomial keeps its own reduction
     state, so its result is the same as on its own.
+
+    With more than one chunk, worker threads (see
+    :func:`boolfn._pool`) generate the chunks ahead into a ring of
+    ``workers + 1`` buffers owned here, at most ``workers`` chunks ahead
+    of the one being reduced.  Everything else -- ``evaluate_batch``,
+    psi and the reduction -- stays on the calling thread in chunk order,
+    so the result does not depend on the number of workers.
     """
     if samples < 1000:
         raise PreconditionError(f"need at least 10^3 samples, got {samples}")
@@ -429,12 +458,28 @@ def _gaussian_mc(polys: list, psi, samples: int, seed: int) -> list:
             f"need one or more polynomials sharing one n, got n in {sorted(sizes)}")
     n = sizes.pop()
     moments = [_Moments() for _ in polys]
-    for start in range(0, samples, _CHUNK):
-        length = min(_CHUNK, samples - start)
-        block = _gaussian_chunk(seed, n, start, length)
-        for poly, state in zip(polys, moments):
-            vals = np.asarray(fn(evaluate_batch(poly, block)), dtype=np.float64)
-            state.add(vals, length)
+    starts = range(0, samples, _CHUNK)
+    workers, pool = _pool(len(starts))
+    ring = np.empty((workers + 1 if workers > 1 else 1, n, min(_CHUNK, samples)))
+
+    def generate(k):
+        length = min(_CHUNK, samples - starts[k])
+        return _gaussian_chunk(seed, n, starts[k], length,
+                               out=ring[k % len(ring), :, :length])
+
+    with pool as executor:
+        if executor is not None:
+            ahead = deque(executor.submit(generate, k) for k in range(workers))
+        for k in range(len(starts)):
+            if executor is None:
+                block = generate(k)
+            else:
+                block = ahead.popleft().result()
+                if k + workers < len(starts):
+                    ahead.append(executor.submit(generate, k + workers))
+            for poly, state in zip(polys, moments):
+                vals = np.asarray(fn(evaluate_batch(poly, block)), dtype=np.float64)
+                state.add(vals, len(block))
     return [state.estimate() for state in moments]
 
 

@@ -4,6 +4,7 @@ Oracles here deliberately use plain Python enumeration (no package
 transforms) so they stay independent of the code paths they check.
 """
 
+import concurrent.futures
 import re
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ from itertools import product
 import numpy as np
 
 from compwiretap import MultilinearPolynomial, ParseError, TruthTable
+from compwiretap import boolfn
 from compwiretap.boolfn import point_to_index
 
 
@@ -140,6 +142,30 @@ def reference_butterfly(a: np.ndarray) -> np.ndarray:
         b[:, 1, :] = x - b[:, 1, :]
         h <<= 1
     return a
+
+
+def reference_values(poly: MultilinearPolynomial) -> np.ndarray:
+    """Dense values of a polynomial: one coefficient stored per Python
+    step, then the plain level loop."""
+    a = np.zeros(1 << poly.n)
+    for mask, value in poly.coeffs.items():
+        a[mask] = float(value)
+    return reference_butterfly(a)
+
+
+def use_workers(monkeypatch, workers: int) -> None:
+    """Make the package's thread pools start ``workers`` threads wherever
+    a loop has that many tasks, whatever the machine's core count."""
+    monkeypatch.setattr(boolfn, "_MAX_WORKERS", workers)
+    monkeypatch.setattr(boolfn.os, "sched_getaffinity",
+                        lambda pid: set(range(workers)), raising=False)
+
+
+def refuse_threads(monkeypatch) -> None:
+    """Make the package's thread pools fail on creation."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
 
 def convolve_coeffs(f: dict, g: dict) -> dict:

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -41,6 +42,9 @@ from helpers import (
     random_rational_poly,
     reference_butterfly,
     reference_evaluate_batch,
+    reference_values,
+    refuse_threads,
+    use_workers,
     zchannel_f_poly,
     zchannel_g_poly,
 )
@@ -451,6 +455,86 @@ def test_butterfly_small_blocks(monkeypatch, block, max_n):
     for n in range(1, max_n + 1):
         a = np.random.default_rng(n).standard_normal(1 << n)
         assert np.array_equal(boolfn._butterfly(a.copy()), reference_butterfly(a))
+
+
+@pytest.mark.parametrize("n", [17, 18, 20])
+def test_butterfly_is_the_same_for_any_worker_count(monkeypatch, n):
+    a = np.random.default_rng(n).standard_normal(1 << n)
+    expected = reference_butterfly(a.copy()).tobytes()
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        assert boolfn._butterfly(a.copy()).tobytes() == expected
+
+
+@pytest.mark.parametrize("block, max_n", [(4, 4), (32, 10)])
+def test_butterfly_small_blocks_on_two_workers(monkeypatch, block, max_n):
+    # many blocks and strips, dealt out unevenly to the two workers
+    monkeypatch.setattr(boolfn, "_BLOCK", block)
+    use_workers(monkeypatch, 2)
+    for n in range(1, max_n + 1):
+        a = np.random.default_rng(n).standard_normal(1 << n)
+        assert boolfn._butterfly(a.copy()).tobytes() == reference_butterfly(a).tobytes()
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    # tables up to 2**16 points keep the serial butterfly
+    refuse_threads(monkeypatch)
+    table = random_boolean_table(np.random.default_rng(5), 16)
+    assert inverse_wht(wht(table)) == table
+    with pytest.raises(AssertionError, match="thread pool"):
+        boolfn._butterfly(np.ones(1 << 17))
+
+
+def _workers_for(tasks):
+    workers, pool = boolfn._pool(tasks)
+    with pool:
+        return workers
+
+
+def test_pool_worker_count(monkeypatch):
+    use_workers(monkeypatch, 2)
+    assert [_workers_for(k) for k in (1, 5)] == [1, 2]
+    monkeypatch.setattr(boolfn.os, "sched_getaffinity",
+                        lambda pid: set(range(64)))
+    monkeypatch.setattr(boolfn, "_MAX_WORKERS", 4)
+    assert [_workers_for(k) for k in (0, 1, 3, 9)] == [1, 1, 3, 4]
+    monkeypatch.delattr(boolfn.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(boolfn.os, "cpu_count", lambda: None)
+    assert _workers_for(9) == 1
+
+
+def test_butterfly_many_workers_fast_switching(monkeypatch):
+    # more workers than cores, switching threads as often as possible
+    monkeypatch.setattr(boolfn, "_BLOCK", 64)
+    use_workers(monkeypatch, 8)
+    a = np.random.default_rng(3).standard_normal(1 << 12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert (boolfn._butterfly(a.copy()).tobytes()
+                    == reference_butterfly(a.copy()).tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 10), st.sampled_from(["float", "fraction", "int"]),
+       st.integers(0, 2**32 - 1))
+def test_values_match_per_term_loop(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    terms = int(rng.integers(0, (1 << n) + 1))
+    masks = rng.choice(1 << n, size=terms, replace=False).tolist()
+    if kind == "float":
+        scale = 10.0 ** rng.integers(-5, 6, terms)
+        values = (rng.standard_normal(terms) * scale).tolist()
+    elif kind == "fraction":
+        values = [Fraction(int(a), int(b)) for a, b in
+                  zip(rng.integers(-99, 100, terms), rng.integers(1, 50, terms))]
+    else:  # beyond int64, so float() rounds them
+        values = [int(a) << 8 for a in rng.integers(-(1 << 62), 1 << 62, terms)]
+    poly = MultilinearPolynomial(n, dict(zip(masks, values)))
+    assert boolfn._values(poly).tobytes() == reference_values(poly).tobytes()
 
 
 def test_dimension_mismatch():

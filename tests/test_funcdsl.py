@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -294,6 +295,8 @@ _TABLE_ERRORS = [
     (_ONE_VAR + "0,1e999\n1,2\n", "line 3: value '1e999' is outside float range"),
     (_ONE_VAR + "0,1\n1,-1e999\n", "line 4: value '-1e999' is outside float range"),
     (_ONE_VAR + "0,1 0\n1,2\n", "line 3: unparseable value '1 0'"),
+    (_ONE_VAR + "0,1\n1,1e1000\n",
+     "line 4: value '1e1000' has an exponent of more than 3 digits"),
     ("# n=2\nindex,value\n+1 0,1\n" + "\n".join(f"{i},1" for i in range(1, 4)),
      "line 3: non-±1 point entry '0'"),
     ("# n=2\nindex,value\n+1 -1,1\n0,2\n2,3\n3,4\n", "line 5: duplicate index 2"),
@@ -308,6 +311,22 @@ def test_parse_table_errors():
         with pytest.raises(ParseError) as err:
             parse_table(text)
         assert str(err.value) == message
+
+
+def test_parse_table_csv_caps_the_exponent():
+    # a long exponent fails at once instead of building a huge rational
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_table(_ONE_VAR + "0,1e10000000\n1,1\n")
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == (
+        "line 3: value '1e10000000' has an exponent of more than 3 digits")
+    # three digits still read as before; the 1/2 row keeps the file off
+    # the fast path, so the row-by-row reader reads them
+    table = parse_table(_ONE_VAR + "0,1e308\n1,1/2\n")
+    assert table.values.tolist() == [1e308, 0.5]
+    table = parse_table(_ONE_VAR + "0,1e-400\n1,1/2\n")
+    assert table.values.tobytes() == np.array([0.0, 0.5]).tobytes()
 
 
 def test_parse_table_accepts_what_fraction_reads():

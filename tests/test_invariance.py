@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from compwiretap import (
     expect_exact,
     expect_gaussian_mc,
     hypothesis_check,
+    inverse_wht,
     lemma_suite,
     max_influence,
     mul,
@@ -40,6 +42,8 @@ from helpers import (
     random_boolean_table,
     random_rational_poly,
     reference_gaussian_chunk,
+    refuse_threads,
+    use_workers,
     zchannel_f_poly,
     zchannel_g_poly,
 )
@@ -191,6 +195,19 @@ def test_expect_exact_identity_and_square():
         assert abs(expect_exact(poly, "square") - power) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 10, 16, 17, 18, 20])
+def test_expect_exact_equals_numpy_mean(n):
+    # slice sums added by halving follow numpy's pairwise order exactly
+    rng = np.random.default_rng(n)
+    masks = rng.integers(0, 1 << n, 40)
+    poly = MultilinearPolynomial(n, {int(m): float(rng.standard_normal()) * 3.0
+                                     for m in masks})
+    values = inverse_wht(poly).values
+    for name, psi in PSI_CATALOG.items():
+        expected = np.mean(np.asarray(psi.fn(values), dtype=np.float64))
+        assert np.float64(expect_exact(poly, name)).tobytes() == expected.tobytes()
+
+
 def test_expect_exact_maj3_cos():
     assert abs(expect_exact(maj3_poly(), "cos") - math.cos(1.0)) <= 1e-15
 
@@ -312,6 +329,73 @@ def test_verify_invariance_many_matches_single_calls():
     assert reports == [
         verify_invariance(poly, "cos", bound, samples=70_000, seed=21)
         for poly, bound in zip(polys, bounds)]
+
+
+@pytest.mark.parametrize("n", [3, 16, 24])
+@pytest.mark.parametrize("samples", [(1 << 16) + 1, 3 << 16, 1_000_000])
+def test_gaussian_mc_is_the_same_for_any_worker_count(monkeypatch, n, samples):
+    poly = MultilinearPolynomial(n, {0: 0.25, 1: 0.5, 1 << (n - 1): -0.5,
+                                     0b111: 0.125, (1 << n) - 1: 0.0625})
+    results = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        # the estimate and the stderr, as raw bytes
+        estimate_and_stderr = expect_gaussian_mc(poly, "sin", samples, seed=11)
+        results.append(np.array(estimate_and_stderr).tobytes())
+    assert results[0] == results[1]
+
+
+def test_verify_invariance_many_is_the_same_for_any_worker_count(monkeypatch):
+    f, g = chain_pair_polys(12)
+    reports = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        reports.append(verify_invariance_many([f, g, sub(f, g)], "quartic",
+                                              [1.0, 0.5, 0.0],
+                                              samples=200_000, seed=5))
+    assert reports[0] == reports[1]
+
+
+def test_gaussian_mc_many_workers_fast_switching(monkeypatch):
+    # more workers than cores, switching threads as often as possible: a
+    # chunk written over before it is reduced would move the estimate
+    poly = maj3_poly()
+    use_workers(monkeypatch, 1)
+    expected = np.array(expect_gaussian_mc(poly, "cos", 40 << 16, seed=8)).tobytes()
+    use_workers(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = expect_gaussian_mc(poly, "cos", 40 << 16, seed=8)
+            assert np.array(got).tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    refuse_threads(monkeypatch)
+    f, _ = chain_pair_polys(20)
+    expect_gaussian_mc(f, "cos", 1 << 16, seed=2)
+    verify_invariance(maj3_poly(), "cos", 1.0, samples=1 << 16)
+    with pytest.raises(AssertionError, match="thread pool"):
+        expect_gaussian_mc(f, "cos", (1 << 16) + 1, seed=2)
+
+
+def test_gaussian_mc_holds_one_chunk_per_worker_and_one_more(monkeypatch):
+    # the ring of caller-owned chunks bounds what is in flight
+    use_workers(monkeypatch, 2)
+    f, _ = chain_pair_polys(16)
+    chunk = 16 * invariance._CHUNK * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        expect_gaussian_mc(f, "cos", 1_000_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * chunk + (4 << 20)
 
 
 def test_verify_invariance_many_validation():

@@ -69,3 +69,63 @@ def test_traced_layers_resolve_and_answer():
     assert {"cli.main", "channels.joint_distribution",
             "channels.posterior_channel", "invariance.expect_gaussian_mc",
             "invariance.lemma_suite"} <= set(result["spans"])
+
+
+# One multi-chunk invariance answer, traced with a given number of pool
+# workers: its counts, its span tree, its output and the threads that
+# opened its spans.
+WORKER_SCRIPT = """
+import contextlib, io, json, os, sys, threading
+from collections import Counter
+import compwiretap.cli as cli
+from compwiretap import boolfn
+from compwiretap.boolfn import PreconditionError
+import layers
+
+class Spans(list):
+    threads = set()
+
+    def append(self, span):
+        self.threads.add(threading.get_ident())
+        super().append(span)
+
+workers = int(sys.argv[1])
+boolfn._MAX_WORKERS = workers
+os.sched_getaffinity = lambda pid: set(range(workers))
+tracer = layers.Tracer(PreconditionError)
+tracer.spans = Spans()  # before install: each wrapper keeps this list
+layers.install(tracer)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[2]))
+spans = tracer.spans
+tree = Counter(f"{name} < {spans[parent][0] if parent >= 0 else None}"
+               for name, _, _, parent, _ in spans)
+print(json.dumps({"code": code, "counts": tracer.counts, "tree": tree,
+                  "out": out.getvalue(), "threads": len(Spans.threads)}))
+"""
+
+CHAIN20 = "1/20*(" + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 20)) + ")"
+
+
+def test_traced_counts_do_not_depend_on_worker_count():
+    # every wrapped call stays on the calling thread, where the tracer's
+    # one span stack can see it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    argv = ["invariance", "--f", CHAIN20, "--psi", "sin",
+            "--samples", "200000", "--seed", "3"]
+    results = []
+    for workers in (1, 2):
+        done = subprocess.run(
+            [sys.executable, "-c", WORKER_SCRIPT, str(workers), json.dumps(argv)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        results.append(json.loads(done.stdout))
+    one, two = results
+    assert one["code"] == two["code"] == 0
+    assert one["threads"] == two["threads"] == 1
+    assert one["counts"]["boolfn.evaluate_batch.term_rows"] == 19 * 200_000
+    assert one == two
