@@ -4,8 +4,10 @@ Each case runs ``compwiretap.cli.main`` on fixed arguments and compares
 its exit code and stdout with ``tests/golden/<case>.out``.  The inputs
 are the README examples and the table files next to the outputs: a ±1
 pair at n=8 (``pm8_f.json``, ``pm8_g.csv``) and a real-valued table at
-n=6 (``real6.csv``), a dense real-valued table at n=10
-(``real10.csv``), and an n=4 table written in every value form the
+n=6 (``real6.csv``), dense real-valued tables at n=10 (``real10.csv``,
+whose eighths give coefficients exact in any addition order, and
+``real10d.csv``, whose 3-decimal values make every coefficient, influence
+and variance sum round in its last bits), and an n=4 table written in every value form the
 table reader takes (``mixed4.csv``).  A change to any answer shows up
 as a diff here.
 
@@ -31,6 +33,7 @@ PM8_F = f"@{GOLDEN / 'pm8_f.json'}"
 PM8_G = f"@{GOLDEN / 'pm8_g.csv'}"
 REAL6 = f"@{GOLDEN / 'real6.csv'}"
 REAL10 = f"@{GOLDEN / 'real10.csv'}"
+REAL10D = f"@{GOLDEN / 'real10d.csv'}"
 MIXED4 = f"@{GOLDEN / 'mixed4.csv'}"
 SAMPLES = ["--samples", "10000"]
 
@@ -84,6 +87,11 @@ CASES = {
     "real10_invariance": (
         ["invariance", "--f", REAL10, "--psi", "quartic", "--seed", "3",
          "--samples", "100000"], 0),
+    # inexact dense coefficients: addition order and float formatting
+    # show in the last digits of the coefficients, influences and sums
+    "real10d_analyze": (["analyze", "--f", REAL10D], 0),
+    "real10d_lemmas": (["lemmas", "--f", REAL10D, "--g", "1/8*(x1 + x10)"], 0),
+    "real10d_channel": (["channel", "--f", REAL10D, "--g", "1/8*(x1 + x10)"], 0),
     # exponents, leading signs, a/b values and blank lines in one table
     "mixed4_analyze": (["analyze", "--f", MIXED4], 0),
     "mixed4_channel": (["channel", "--f", MIXED4, "--g", "1/2*(x1 + x2*x3)"], 0),
