@@ -3,8 +3,10 @@
 Two dual views of a function are provided:
 
 * :class:`TruthTable` -- dense evaluation on all 2**n points.
-* :class:`MultilinearPolynomial` -- sparse Fourier expansion, a map from
-  variable subsets (bit masks) to real coefficients.
+* :class:`MultilinearPolynomial` -- sparse Fourier expansion: variable
+  subsets (bit masks) with real coefficients, held as two parallel
+  read-only arrays in insertion order, so that influences, variance,
+  degree and subtraction are whole-array numpy passes.
 
 Index/point convention, used everywhere in this package: the table index
 ``i`` encodes the point ``x`` with ``x_j = +1`` if bit ``(j-1)`` of ``i``
@@ -15,8 +17,9 @@ subset.
 
 Coefficients coming out of the fast transform are floats; coefficients
 built from exact rationals (see :mod:`compwiretap.funcdsl`) are stored as
-:class:`fractions.Fraction` and survive arithmetic exactly.  Both kinds
-mix freely.
+:class:`fractions.Fraction` in an object array and survive arithmetic
+exactly.  Both kinds mix freely.  Sums over terms are left folds in term
+order, so float sums have the bits of a plain loop over the terms.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import nullcontext
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational, Real
@@ -139,36 +143,127 @@ def points_matrix(n: int) -> np.ndarray:
 _REALS = (float, Fraction, int)
 
 
-class MultilinearPolynomial:
-    """Sparse map from subset masks to real Fourier coefficients.
+def _terms(n: int, masks, values) -> tuple:
+    """Validated, read-only ``(masks, values)`` without zero terms.
 
-    Zero coefficients are never stored; masks fit in ``n`` bits.
-    Coefficient values may be floats or exact Fractions.
+    Every construction of a polynomial goes through here, and the arrays
+    returned are its own.  A float64 array of values is checked with
+    whole-array passes; any other values, such as exact ones, are checked
+    one by one and kept as given in an object array unless all are floats.
+    """
+    try:
+        masks = np.array(masks, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"a mask does not fit in n={n} bits") from None
+    if masks.size and np.bitwise_or.reduce(masks) >> n:  # also if negative
+        bad = masks[np.flatnonzero(masks >> n)[0]]
+        raise ValueError(f"mask {bad} does not fit in n={n} bits")
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        values = values.copy()
+    else:
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        kinds = set(map(type, values))
+        for kind in kinds:
+            # exact types first: the ABC check of Real is slow
+            if kind not in _REALS and not issubclass(kind, Real):
+                bad = next(v for v in values if type(v) is kind)
+                raise ValueError(f"coefficient {bad!r} is not a real number")
+        if all(issubclass(kind, float) for kind in kinds):
+            values = np.array(values, dtype=np.float64)
+        else:
+            inexact = {kind for kind in kinds if not issubclass(kind, Rational)}
+            for mask, value in zip(masks.tolist(), values) if inexact else ():
+                if type(value) in inexact and not math.isfinite(value):
+                    raise ValueError(
+                        f"coefficient for mask {mask} is not finite")
+            if 0 in values:
+                keep = [value != 0 for value in values]
+                masks = masks[keep]
+                values = [value for value, kept in zip(values, keep) if kept]
+            values = np.array(values, dtype=object)
+    if values.dtype == np.float64:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(
+                f"coefficient for mask {masks[np.argmin(finite)]} is not finite")
+        keep = values != 0
+        if not keep.all():
+            masks, values = masks[keep], values[keep]
+    masks.flags.writeable = False
+    values.flags.writeable = False
+    return masks, values
+
+
+class _Coeffs(Mapping):
+    """Read-only mask -> coefficient view of a polynomial's arrays.
+
+    Its length is the term count; the mapping itself is built on first
+    lookup or iteration.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("_poly", "_map")
 
-    def __init__(self, n: int, coeffs: dict):
+    def __init__(self, poly):
+        self._poly, self._map = poly, None
+
+    def _items(self) -> dict:
+        if self._map is None:
+            poly = self._poly
+            self._map = dict(zip(poly.masks.tolist(), poly.values.tolist()))
+        return self._map
+
+    def __len__(self):
+        return self._poly.masks.size
+
+    def __getitem__(self, mask):
+        return self._items()[mask]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __repr__(self):
+        return repr(self._items())
+
+
+class MultilinearPolynomial:
+    """Sparse Fourier expansion: subset masks with real coefficients.
+
+    The terms are two parallel read-only arrays in insertion order:
+    ``masks`` (int64, each fitting in ``n`` bits) and ``values`` (float64
+    when every coefficient is a float, otherwise an object array of the
+    coefficients as given, such as exact Fractions).  Zero coefficients
+    are never stored.  The order is the order in which
+    :func:`evaluate_batch` adds the terms.  ``coeffs`` is a read-only
+    mask -> coefficient mapping over the arrays.
+    """
+
+    __slots__ = ("n", "masks", "values", "_coeffs")
+
+    def __init__(self, n: int, coeffs):
+        """``coeffs`` maps masks to coefficients, or is a ``(masks,
+        values)`` pair of parallel arrays."""
         n = _check_n(n)
-        clean = {}
-        limit = 1 << n
-        for mask, value in coeffs.items():
-            mask = int(mask)
-            if mask < 0 or mask >= limit:
-                raise ValueError(
-                    f"mask {mask} does not fit in n={n} bits")
-            # exact types first: the ABC check of Real is slow
-            if type(value) not in _REALS and not isinstance(value, Real):
-                raise ValueError(f"coefficient {value!r} is not a real number")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"coefficient for mask {mask} is not finite")
-            if value != 0:
-                clean[mask] = value
+        if isinstance(coeffs, Mapping):
+            masks = list(map(int, coeffs))
+            # a key such as 1.5 would truncate onto another term's mask
+            for key, mask in zip(coeffs, masks):
+                if key != mask:
+                    raise ValueError(f"mask {key!r} is not an integer")
+            coeffs = masks, coeffs.values()
+        masks, values = _terms(n, *coeffs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearPolynomial is immutable")
+
+    @property
+    def coeffs(self) -> Mapping:
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", _Coeffs(self))
+        return self._coeffs
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearPolynomial):
@@ -176,18 +271,14 @@ class MultilinearPolynomial:
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"MultilinearPolynomial(n={self.n}, terms={len(self.coeffs)})"
+        return f"MultilinearPolynomial(n={self.n}, terms={self.masks.size})"
 
     def with_n(self, n: int) -> "MultilinearPolynomial":
         """The same polynomial viewed over n >= current variables."""
-        if n < self.n:
-            used = 0
-            for mask in self.coeffs:
-                used |= mask
-            if used >> n:
-                raise ValueError(
-                    f"cannot shrink to n={n}: a term uses a higher variable")
-        return MultilinearPolynomial(n, self.coeffs)
+        if n < self.n and np.bitwise_or.reduce(self.masks) >> n:
+            raise ValueError(
+                f"cannot shrink to n={n}: a term uses a higher variable")
+        return MultilinearPolynomial(n, (self.masks, self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +377,13 @@ def _spectrum(a: np.ndarray, n: int) -> MultilinearPolynomial:
     a /= 1 << n
     # ~(|c| <= tol) keeps NaN, so an overflowed transform fails loudly.
     keep = np.flatnonzero(~(np.abs(a) <= PRUNE_TOL))
-    return MultilinearPolynomial(n, dict(zip(keep.tolist(), a[keep].tolist())))
+    return MultilinearPolynomial(n, (keep, a[keep]))
 
 
 def _values(poly: MultilinearPolynomial) -> np.ndarray:
     """Fresh float array of the polynomial on all 2**n points."""
-    coeffs = poly.coeffs
     a = np.zeros(1 << poly.n, dtype=np.float64)
-    masks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
-    a[masks] = np.fromiter(map(float, coeffs.values()), dtype=np.float64,
-                           count=len(coeffs))
+    a[poly.masks] = poly.values  # float(v) for each exact coefficient
     return _butterfly(a)
 
 
@@ -329,7 +417,7 @@ def evaluate(poly: MultilinearPolynomial, point) -> Real:
         raise ValueError(
             f"point has length {len(point)}, polynomial has n={poly.n}")
     total = 0
-    for mask, value in poly.coeffs.items():
+    for mask, value in zip(poly.masks.tolist(), poly.values.tolist()):
         term = value
         m = mask
         while m:
@@ -347,7 +435,7 @@ _MEMO_POINTS = 1 << 22
 
 
 def _monomial_plan(poly: MultilinearPolynomial) -> tuple:
-    """Slots and steps that evaluate every term of ``poly`` in dict order.
+    """Slots and steps that evaluate every term of ``poly`` in term order.
 
     Slot ``j < n`` is column ``j``; every monomial of degree >= 2 gets a
     memo slot, filled as its parent (the mask without its highest bit)
@@ -368,7 +456,7 @@ def _monomial_plan(poly: MultilinearPolynomial) -> tuple:
             slot[mask] = len(slot)
             steps.append((slot[mask], slot[parent], high))
 
-    for mask, value in poly.coeffs.items():
+    for mask, value in zip(poly.masks.tolist(), poly.values.tolist()):
         if mask:
             memo(mask)
         steps.append((None, slot.get(mask), float(value)))
@@ -417,35 +505,52 @@ def evaluate_batch(poly: MultilinearPolynomial, points: np.ndarray) -> np.ndarra
 
 def mean(poly: MultilinearPolynomial) -> Real:
     """f^(empty set), the expectation under uniform ±1 inputs."""
-    return poly.coeffs.get(0, 0)
+    hit = np.flatnonzero(poly.masks == 0)
+    return poly.values[hit].tolist()[0] if hit.size else 0
 
 
 def degree(poly: MultilinearPolynomial) -> int:
     """Largest subset size with a nonzero coefficient (0 for the zero poly)."""
-    return max((mask.bit_count() for mask in poly.coeffs), default=0)
+    return int(np.bitwise_count(poly.masks).max(initial=0))
 
 
 def term_count(poly: MultilinearPolynomial) -> int:
     """Number of nonzero coefficients."""
-    return len(poly.coeffs)
+    return poly.masks.size
+
+
+def _fold(terms: np.ndarray) -> Real:
+    """Sum of ``terms`` added left to right from 0, as a Python number.
+
+    A sequential fold, so a float sum has the bits of a plain loop and
+    an exact sum stays exact.
+    """
+    return np.add.accumulate(terms).item(-1) if terms.size else 0
 
 
 def variance(poly: MultilinearPolynomial) -> Real:
-    """sum over nonempty S of f^(S)**2."""
-    return sum((v * v for m, v in poly.coeffs.items() if m != 0), start=0)
+    """sum over nonempty S of f^(S)**2, in term order."""
+    return _fold((poly.values * poly.values)[poly.masks != 0])
 
 
 def influence_spectral(poly: MultilinearPolynomial, t: int) -> Real:
-    """Influence of coordinate t: sum over S containing t of f^(S)**2."""
+    """Influence of coordinate t: sum over S containing t of f^(S)**2,
+    in term order."""
     if not 1 <= t <= poly.n:
         raise ValueError(f"coordinate t={t} out of range 1..{poly.n}")
     bit = 1 << (t - 1)
-    return sum((v * v for m, v in poly.coeffs.items() if m & bit), start=0)
+    return _fold((poly.values * poly.values)[poly.masks & bit != 0])
+
+
+def _influences(poly: MultilinearPolynomial) -> tuple:
+    squares = poly.values * poly.values
+    return tuple(_fold(squares[poly.masks & (1 << j) != 0])
+                 for j in range(poly.n))
 
 
 def max_influence(poly: MultilinearPolynomial) -> Real:
     """max_t Inf_t, zero for the zero or constant polynomial."""
-    return max(influence_spectral(poly, t) for t in range(1, poly.n + 1))
+    return max(_influences(poly))
 
 
 @dataclass(frozen=True)
@@ -459,7 +564,7 @@ class InfluenceProfile:
 
 
 def influence_profile(poly: MultilinearPolynomial) -> InfluenceProfile:
-    infl = tuple(influence_spectral(poly, t) for t in range(1, poly.n + 1))
+    infl = _influences(poly)
     return InfluenceProfile(
         influences=infl,
         max_influence=max(infl) if infl else 0,
@@ -501,12 +606,26 @@ def _require_same_n(f: MultilinearPolynomial, g: MultilinearPolynomial):
 
 
 def sub(f: MultilinearPolynomial, g: MultilinearPolynomial) -> MultilinearPolynomial:
-    """f - g by subtracting coefficient maps (exact when both exact)."""
+    """f - g, term by term (exact when both exact).
+
+    The terms keep f's order, followed by g's terms whose mask f lacks,
+    in g's order.
+    """
     _require_same_n(f, g)
-    coeffs = dict(f.coeffs)
-    for mask, value in g.coeffs.items():
-        coeffs[mask] = coeffs.get(mask, 0) - value
-    return MultilinearPolynomial(f.n, coeffs)
+    order = np.argsort(f.masks, kind="stable")  # linear on sorted masks
+    keys = np.append(f.masks[order], 1 << MAX_N)  # a sentinel above every mask
+    at = np.searchsorted(keys, g.masks)
+    shared = keys[at] == g.masks
+    added = g.values[~shared]
+    # a float minus any real is a float: only g's new terms can make the
+    # result exact
+    dtype = np.result_type(f.values, added) if added.size else f.values.dtype
+    values = f.values.astype(dtype)
+    where = order[at[shared]]
+    values[where] = values[where] - g.values[shared]
+    return MultilinearPolynomial(f.n, (
+        np.concatenate((f.masks, g.masks[~shared])),
+        np.concatenate((values, (0 - added).astype(dtype)))))
 
 
 def mul(f: MultilinearPolynomial, g: MultilinearPolynomial) -> MultilinearPolynomial:
@@ -522,12 +641,14 @@ def mul(f: MultilinearPolynomial, g: MultilinearPolynomial) -> MultilinearPolyno
     are dropped at or below :data:`PRUNE_TOL`.
     """
     _require_same_n(f, g)
-    exact = all(isinstance(v, Rational)
-                for poly in (f, g) for v in poly.coeffs.values())
-    if exact or len(f.coeffs) * len(g.coeffs) <= 1 << f.n:
+    exact = all(poly.values.dtype == object
+                and all(isinstance(v, Rational) for v in poly.values.tolist())
+                for poly in (f, g))
+    if exact or f.masks.size * g.masks.size <= 1 << f.n:
         coeffs = {}
-        for m1, v1 in f.coeffs.items():
-            for m2, v2 in g.coeffs.items():
+        g_terms = list(zip(g.masks.tolist(), g.values.tolist()))
+        for m1, v1 in zip(f.masks.tolist(), f.values.tolist()):
+            for m2, v2 in g_terms:
                 mask = m1 ^ m2
                 coeffs[mask] = coeffs.get(mask, 0) + v1 * v2
         return MultilinearPolynomial(f.n, coeffs)

@@ -85,10 +85,12 @@ def _cmd_analyze(args):
     if table is None:
         table = boolfn.inverse_wht(poly)
     profile = boolfn.influence_profile(poly)
-    terms = [{"variables": [j + 1 for j in range(poly.n) if mask >> j & 1],
-              "coefficient": float(value),
-              "exact": f"-{mag}" if negative else mag}
-             for mask, value, negative, mag, _ in funcdsl.canonical_terms(poly)]
+    masks, values, negative, mags = funcdsl.canonical_terms(poly)
+    terms = [{"variables": variables, "coefficient": value,
+              "exact": f"-{mag}" if neg else mag}
+             for variables, value, neg, mag in zip(
+                 funcdsl.term_variables(masks), values.astype(float).tolist(),
+                 negative, mags)]
     report = {
         "n": poly.n,
         "expression": funcdsl.serialize_poly(poly),

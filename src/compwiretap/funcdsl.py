@@ -214,55 +214,52 @@ def _coeff_string(value) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-_VARIABLES = tuple(f"x{j + 1}" for j in range(MAX_N))
+def _byte_tables(entry) -> tuple:
+    """Per mask byte, a 256-entry object array: ``entry(variables)`` for
+    the 1-based variables whose bits that byte value sets."""
+    tables = []
+    for base in range(0, MAX_N, 8):
+        table = np.empty(256, dtype=object)
+        for byte in range(256):
+            table[byte] = entry([base + j + 1 for j in range(8) if byte >> j & 1])
+        tables.append(table)
+    return tuple(tables)
 
 
-def _monomial(mask: int) -> str:
-    names = []
-    while mask:
-        low = mask & -mask  # walk the set bits only, lowest first
-        names.append(_VARIABLES[low.bit_length() - 1])
-        mask ^= low
-    return "*".join(names)
+_NAMES = _byte_tables(lambda js: "".join(f"*x{j}" for j in js))
+_VARIABLES = _byte_tables(list)
 
 
-def canonical_terms(poly: MultilinearPolynomial):
-    """Yield ``(mask, value, negative, magnitude, monomial)`` per term,
-    ordered by (subset size, mask value).
+def term_variables(masks: np.ndarray) -> list:
+    """Each mask's variables as a fresh list of 1-based indices, ascending."""
+    # a sum of the bytes' lists, so no list is shared with the tables
+    out = _VARIABLES[0][masks & 255] + _VARIABLES[1][(masks >> 8) & 255]
+    for i in range(2, len(_VARIABLES)):
+        out += _VARIABLES[i][(masks >> (8 * i)) & 255]
+    return out.tolist()
 
-    ``magnitude`` is the coefficient string of ``|value|``; ``monomial``
-    is like ``x1*x3`` ("" for the constant).  Within one call a non-
-    Fraction magnitude is formatted once per (type, value), so 0.1 and
-    ``Fraction(1, 10)`` keep their own strings (a Fraction's ``str`` is
-    cheaper than the lookup), and a monomial whose parent (the mask
-    without its highest bit) came earlier extends the parent's name.
+
+def canonical_terms(poly: MultilinearPolynomial) -> tuple:
+    """``(masks, values, negative, magnitudes)`` of the terms ordered by
+    (subset size, mask value): the masks and values as arrays, then each
+    value's sign and the coefficient string of its magnitude as lists.
+
+    A float array formats each distinct magnitude once.
     """
-    magnitudes = {}
-    names = {0: ""}
-    # stable sorts: by mask, then by subset size
-    for mask in sorted(sorted(poly.coeffs), key=int.bit_count):
-        value = poly.coeffs[mask]
-        negative = value < 0
-        mag = -value if negative else value
-        if type(mag) is Fraction:
-            text = str(mag)  # what _coeff_string gives: "num/den" or "num"
-        else:
-            key = (type(mag), mag)
-            text = magnitudes.get(key)
-            if text is None:
-                text = magnitudes[key] = _coeff_string(mag)
-        name = ""
-        if mask:
-            high = mask.bit_length() - 1
-            parent = names.get(mask ^ (1 << high))
-            if parent is None:
-                name = _monomial(mask)
-            elif parent:
-                name = f"{parent}*{_VARIABLES[high]}"
-            else:
-                name = _VARIABLES[high]
-            names[mask] = name
-        yield mask, value, negative, text, name
+    order = np.lexsort((poly.masks, np.bitwise_count(poly.masks)))
+    masks, values = poly.masks[order], poly.values[order]
+    if values.dtype == np.float64:
+        distinct, which = np.unique(np.abs(values), return_inverse=True)
+        texts = np.array([_coeff_string(v) for v in distinct.tolist()],
+                         dtype=object)
+        return masks, values, (values < 0).tolist(), texts[which].tolist()
+    negative, texts = [], []
+    for value in values.tolist():
+        negative.append(value < 0)
+        mag = -value if negative[-1] else value
+        # a Fraction's str is what _coeff_string gives, and cheaper
+        texts.append(str(mag) if type(mag) is Fraction else _coeff_string(mag))
+    return masks, values, negative, texts
 
 
 def serialize_poly(poly: MultilinearPolynomial) -> str:
@@ -275,20 +272,25 @@ def serialize_poly(poly: MultilinearPolynomial) -> str:
     ``Fraction(1, 10)``, whose float is 0.1 again.  The text is stable
     from the second serialization on.
     """
-    if not poly.coeffs:
+    if not poly.masks.size:
         return "0"
+    masks, _, negative, mags = canonical_terms(poly)
+    # each mask's "*x1*x3": its bytes' names, for the bytes in use
+    used = int(np.bitwise_or.reduce(masks))
+    names = _NAMES[0][masks & 255]
+    for i in range(1, len(_NAMES)):
+        if used >> (8 * i):
+            names = names + _NAMES[i][(masks >> (8 * i)) & 255]
     parts = []
-    for _, _, negative, mag, mono in canonical_terms(poly):
-        if mono and mag == "1":
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
+    add = parts.append
+    for neg, mag, name in zip(negative, mags, names.tolist()):
+        add(" - " if neg else " + ")
+        if mag == "1" and name:
+            add(name[1:])
         else:
-            body = mag
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"{' - ' if negative else ' + '}{body}")
+            add(mag)
+            add(name)
+    parts[0] = "-" if negative[0] else ""
     return "".join(parts)
 
 

@@ -5,9 +5,11 @@ transforms) so they stay independent of the code paths they check.
 """
 
 import concurrent.futures
+import math
 import re
 from fractions import Fraction
 from itertools import product
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -281,7 +283,30 @@ def reference_parse_table_csv(text: str) -> np.ndarray:
     return values
 
 
-def reference_serialize_poly(poly: MultilinearPolynomial) -> str:
+def reference_coeff_text(mag) -> str:
+    """Coefficient string of a magnitude, formatted from scratch: an
+    exact fraction when it is a Fraction or its ratio fits in 2**53, the
+    ``repr`` of its float otherwise."""
+    exact = mag if isinstance(mag, float) else Fraction(mag)
+    num, den = exact.as_integer_ratio()
+    if not isinstance(mag, Fraction) and (abs(num) > 2**53 or den > 2**53):
+        return repr(float(mag))
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def reference_canonical_terms(poly) -> list:
+    """``(mask, value, negative, magnitude text)`` per term, sorted by
+    (subset size, mask)."""
+    out = []
+    for mask in sorted(poly.coeffs, key=lambda m: (bin(m).count("1"), m)):
+        value = poly.coeffs[mask]
+        negative = value < 0
+        out.append((mask, value, negative,
+                    reference_coeff_text(-value if negative else value)))
+    return out
+
+
+def reference_serialize_poly(poly) -> str:
     """Canonical text, each term formatted from scratch.
 
     Terms sorted by (subset size, mask); a coefficient is written as an
@@ -291,16 +316,7 @@ def reference_serialize_poly(poly: MultilinearPolynomial) -> str:
     if not poly.coeffs:
         return "0"
     parts = []
-    for mask in sorted(poly.coeffs, key=lambda m: (bin(m).count("1"), m)):
-        value = poly.coeffs[mask]
-        negative = value < 0
-        mag = -value if negative else value
-        exact = mag if isinstance(mag, float) else Fraction(mag)
-        num, den = exact.as_integer_ratio()
-        if not isinstance(mag, Fraction) and (abs(num) > 2**53 or den > 2**53):
-            text = repr(float(mag))
-        else:
-            text = str(num) if den == 1 else f"{num}/{den}"
+    for mask, _, negative, text in reference_canonical_terms(poly):
         mono = "*".join(f"x{j + 1}" for j in range(mask.bit_length()) if mask >> j & 1)
         if mono:
             body = mono if text == "1" else f"{text}*{mono}"
@@ -311,3 +327,74 @@ def reference_serialize_poly(poly: MultilinearPolynomial) -> str:
         else:
             parts.append(f"-{body}" if negative else body)
     return "".join(parts)
+
+
+class DictPolynomial:
+    """The dict-backed polynomial that the array core replaced, kept as
+    an oracle.
+
+    ``coeffs`` is a plain dict in insertion order, and every operation is
+    the former per-term loop.  ``reference_values``,
+    ``reference_evaluate_batch`` and ``reference_serialize_poly`` take it
+    as they take a package polynomial.
+    """
+
+    def __init__(self, n: int, coeffs: dict):
+        if not 1 <= n <= boolfn.MAX_N:
+            raise ValueError(f"bad n={n}")
+        clean = {}
+        for mask, value in coeffs.items():
+            mask = int(mask)
+            if mask < 0 or mask >= 1 << n:
+                raise ValueError(f"mask {mask} does not fit in n={n} bits")
+            if not isinstance(value, Real):
+                raise ValueError(f"coefficient {value!r} is not a real number")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"coefficient for mask {mask} is not finite")
+            if value != 0:
+                clean[mask] = value
+        self.n, self.coeffs = n, clean
+
+    def with_n(self, n: int) -> "DictPolynomial":
+        used = 0
+        for mask in self.coeffs:
+            used |= mask
+        if n < self.n and used >> n:
+            raise ValueError(f"cannot shrink to n={n}")
+        return DictPolynomial(n, self.coeffs)
+
+    def sub(self, g: "DictPolynomial") -> "DictPolynomial":
+        coeffs = dict(self.coeffs)
+        for mask, value in g.coeffs.items():
+            coeffs[mask] = coeffs.get(mask, 0) - value
+        return DictPolynomial(self.n, coeffs)
+
+    def mul(self, g: "DictPolynomial") -> "DictPolynomial":
+        exact = all(isinstance(v, Rational)
+                    for poly in (self, g) for v in poly.coeffs.values())
+        if exact or len(self.coeffs) * len(g.coeffs) <= 1 << self.n:
+            coeffs = {}
+            for m1, v1 in self.coeffs.items():
+                for m2, v2 in g.coeffs.items():
+                    coeffs[m1 ^ m2] = coeffs.get(m1 ^ m2, 0) + v1 * v2
+            return DictPolynomial(self.n, coeffs)
+        a = reference_butterfly(reference_values(self) * reference_values(g))
+        a /= 1 << self.n
+        keep = np.flatnonzero(~(np.abs(a) <= boolfn.PRUNE_TOL))
+        return DictPolynomial(self.n, dict(zip(keep.tolist(), a[keep].tolist())))
+
+    def degree(self) -> int:
+        return max((mask.bit_count() for mask in self.coeffs), default=0)
+
+    def _sum_squares(self, keep) -> Real:
+        total = 0  # a plain left fold: no compensated builtin sum
+        for mask, value in self.coeffs.items():
+            if keep(mask):
+                total = total + value * value
+        return total
+
+    def variance(self) -> Real:
+        return self._sum_squares(lambda mask: mask != 0)
+
+    def influence(self, t: int) -> Real:
+        return self._sum_squares(lambda mask: mask >> (t - 1) & 1)

@@ -30,7 +30,7 @@ from compwiretap import (
     variance,
     wht,
 )
-from compwiretap import boolfn
+from compwiretap import boolfn, serialize_poly
 from helpers import (
     brute_product_coeffs,
     chain_pair_polys,
@@ -89,6 +89,13 @@ def test_polynomial_validation():
     assert term_count(p) == 1
 
 
+def test_polynomial_masks_are_integers():
+    with pytest.raises(ValueError, match="mask 1.5 is not an integer"):
+        MultilinearPolynomial(2, {1: 2.0, 1.5: 1.0})
+    poly = MultilinearPolynomial(2, {np.int64(1): 1.0, True: 2.0, 2.0: 3.0})
+    assert poly.coeffs == {1: 2.0, 2: 3.0}
+
+
 def test_polynomial_coefficient_types():
     for bad in (float("inf"), np.float64("inf"), np.float64("nan")):
         with pytest.raises(ValueError, match="coefficient for mask 1 is not finite"):
@@ -101,6 +108,16 @@ def test_polynomial_coefficient_types():
     poly = MultilinearPolynomial(2, coeffs)
     assert poly.coeffs == {1: True, 2: 3, 3: 0.5}
     assert [type(v) for v in poly.coeffs.values()] == [bool, np.int64, np.float64]
+
+
+def test_polynomial_coefficients_are_read_only():
+    # a write through the mapping would skip the mask and finiteness checks
+    poly = MultilinearPolynomial(3, {1: 0.5})
+    with pytest.raises(TypeError):
+        poly.coeffs[7] = float("nan")
+    with pytest.raises(TypeError):
+        poly.coeffs[1 << 10] = 2.0
+    assert poly.coeffs == {1: 0.5} and serialize_poly(poly) == "1/2*x1"
 
 
 def test_wht_overflow_is_not_finite():
