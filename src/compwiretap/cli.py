@@ -17,6 +17,9 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
+
+import numpy as np
 
 from . import boolfn, channels, funcdsl, invariance
 from .boolfn import PreconditionError
@@ -85,16 +88,10 @@ def _cmd_analyze(args):
     if table is None:
         table = boolfn.inverse_wht(poly)
     profile = boolfn.influence_profile(poly)
-    masks, values, negative, mags = funcdsl.canonical_terms(poly)
-    terms = [{"variables": variables, "coefficient": value,
-              "exact": f"-{mag}" if neg else mag}
-             for variables, value, neg, mag in zip(
-                 funcdsl.term_variables(masks), values.astype(float).tolist(),
-                 negative, mags)]
     report = {
         "n": poly.n,
         "expression": funcdsl.serialize_poly(poly),
-        "terms": terms,
+        "terms": _Terms(poly),
         "mean": float(profile.mean),
         "variance": float(profile.variance),
         "degree": boolfn.degree(poly),
@@ -104,6 +101,67 @@ def _cmd_analyze(args):
         "boolean_valued": boolfn.is_boolean_valued(table),
     }
     return report, 0
+
+
+class _Terms:
+    """analyze's term list, kept as the canonical term arrays until it is
+    rendered.
+
+    A term row is ``{"variables", "coefficient", "exact"}``: its 1-based
+    variables, its coefficient as a float and the exact text of that
+    coefficient.  ``dicts`` gives the rows that pretty and csv output
+    print; ``json`` writes the text ``json.dumps(..., sort_keys=True,
+    indent=2)`` gives for the same list as a top-level value, one
+    templated row per term, since the C encoder does not run with
+    ``indent``.
+    """
+
+    # per mask byte, its variables' lines, each a separator and an index,
+    # made from the byte's monomial name such as "*x9*x11"
+    _LINES = tuple(
+        np.array([name.replace("*x", ",\n        ") for name in names],
+                 dtype=object)
+        for names in funcdsl._NAMES)
+
+    def __init__(self, poly):
+        (self.masks, values, self.negative,
+         self.texts, self.which) = funcdsl.canonical_terms(poly)
+        # an exact value beyond float range raises OverflowError here
+        self.floats = values.astype(float)
+
+    def dicts(self) -> list:
+        return [{"variables": variables, "coefficient": value,
+                 "exact": f"-{mag}" if neg else mag}
+                for variables, value, neg, mag in zip(
+                    funcdsl.term_variables(self.masks), self.floats.tolist(),
+                    self.negative.tolist(), self.texts[self.which].tolist())]
+
+    def json(self) -> str:
+        if not self.masks.size:
+            return "[]"
+        # each distinct magnitude's float repr and escaped exact text, once;
+        # an exact text that is not a ratio is already its float's repr
+        texts = self.texts.tolist()
+        mags = np.empty(len(texts))
+        mags[self.which] = np.abs(self.floats)
+        coefficients = np.array(
+            [text if "." in text or "e" in text else repr(mag)
+             for text, mag in zip(texts, mags.tolist())],
+            dtype=object)[self.which]
+        sign = np.signbit(self.floats)
+        coefficients[sign] = "-" + coefficients[sign]
+        exact = np.array([_escape(text)[1:-1] for text in texts],
+                         dtype=object)[self.which]
+        exact[self.negative] = "-" + exact[self.negative]
+        # only the constant term, first in canonical order, has no lines
+        variables = [f"[{lines[1:]}\n      ]" if lines else "[]" for lines in
+                     funcdsl._by_bytes(self._LINES, self.masks).tolist()]
+        rows = ",\n".join([
+            f'    {{\n      "coefficient": {coefficient},\n'
+            f'      "exact": "{text}",\n      "variables": {lines}\n    }}'
+            for coefficient, text, lines in zip(
+                coefficients.tolist(), exact.tolist(), variables)])
+        return f"[\n{rows}\n  ]"
 
 
 def _pair_report(spec, **fields) -> dict:
@@ -268,6 +326,14 @@ def _csv_rows(obj, prefix, rows):
 
 
 def _render(report: dict, fmt: str) -> str:
+    terms = report.get("terms")
+    if isinstance(terms, _Terms):
+        if fmt == "json":
+            text = json.dumps({**report, "terms": []}, sort_keys=True, indent=2)
+            # a line of two spaces and a quoted name is a top-level key
+            head, _, tail = text.partition('\n  "terms": []')
+            return f'{head}\n  "terms": {terms.json()}{tail}\n'
+        report = {**report, "terms": terms.dicts()}
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if fmt == "pretty":

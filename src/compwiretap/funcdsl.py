@@ -214,6 +214,29 @@ def _coeff_string(value) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def _float_strings(mags: np.ndarray) -> np.ndarray:
+    """``_coeff_string`` of each positive finite float, as an object array.
+
+    A float is ``odd * 2**shift`` with ``odd`` its mantissa without its
+    trailing zero bits; it is written as a ratio when that ratio's
+    numerator and denominator are both at most 2**53, else by ``repr``.
+    """
+    mant, exp = np.frexp(mags)
+    odd = (mant * 2.0**53).astype(np.int64)  # exact: at most 53 bits
+    zeros = np.bitwise_count((odd & -odd) - 1)
+    odd >>= zeros
+    shift = exp - 53 + zeros
+    whole = (shift >= 0) & (mags <= 2.0**53)
+    ratio = (shift < 0) & (shift >= -53)
+    out = np.empty(mags.size, dtype=object)
+    out[whole] = list(map(str, mags[whole].astype(np.int64).tolist()))
+    out[ratio] = [f"{num}/{1 << -e}" for num, e in
+                  zip(odd[ratio].tolist(), shift[ratio].tolist())]
+    other = ~(whole | ratio)
+    out[other] = list(map(repr, mags[other].tolist()))
+    return out
+
+
 def _byte_tables(entry) -> tuple:
     """Per mask byte, a 256-entry object array: ``entry(variables)`` for
     the 1-based variables whose bits that byte value sets."""
@@ -222,8 +245,20 @@ def _byte_tables(entry) -> tuple:
         table = np.empty(256, dtype=object)
         for byte in range(256):
             table[byte] = entry([base + j + 1 for j in range(8) if byte >> j & 1])
+        table.flags.writeable = False
         tables.append(table)
     return tuple(tables)
+
+
+def _by_bytes(tables: tuple, masks: np.ndarray) -> np.ndarray:
+    """Each mask's entries of per-byte ``tables`` added up, byte 0 first,
+    over the bytes any mask uses."""
+    used = int(np.bitwise_or.reduce(masks))
+    out = tables[0][masks & 255]
+    for i in range(1, len(tables)):
+        if used >> (8 * i):
+            out = out + tables[i][(masks >> (8 * i)) & 255]
+    return out
 
 
 _NAMES = _byte_tables(lambda js: "".join(f"*x{j}" for j in js))
@@ -240,26 +275,29 @@ def term_variables(masks: np.ndarray) -> list:
 
 
 def canonical_terms(poly: MultilinearPolynomial) -> tuple:
-    """``(masks, values, negative, magnitudes)`` of the terms ordered by
-    (subset size, mask value): the masks and values as arrays, then each
-    value's sign and the coefficient string of its magnitude as lists.
+    """``(masks, values, negative, texts, which)`` of the terms ordered by
+    (subset size, mask value).
 
-    A float array formats each distinct magnitude once.
+    ``masks`` and ``values`` are the terms' arrays in that order and
+    ``negative`` each value's sign.  ``texts`` is an object array of
+    coefficient strings of magnitudes and ``which`` each term's index into
+    it, so ``texts[which]`` are the terms' magnitude strings.  For a float
+    array ``texts`` holds each distinct magnitude once, ascending; for
+    exact values it holds one string per term.
     """
     order = np.lexsort((poly.masks, np.bitwise_count(poly.masks)))
     masks, values = poly.masks[order], poly.values[order]
+    negative = values < 0
     if values.dtype == np.float64:
         distinct, which = np.unique(np.abs(values), return_inverse=True)
-        texts = np.array([_coeff_string(v) for v in distinct.tolist()],
-                         dtype=object)
-        return masks, values, (values < 0).tolist(), texts[which].tolist()
-    negative, texts = [], []
-    for value in values.tolist():
-        negative.append(value < 0)
-        mag = -value if negative[-1] else value
+        return masks, values, negative, _float_strings(distinct), which
+    texts = []
+    for value, neg in zip(values.tolist(), negative.tolist()):
+        mag = -value if neg else value
         # a Fraction's str is what _coeff_string gives, and cheaper
         texts.append(str(mag) if type(mag) is Fraction else _coeff_string(mag))
-    return masks, values, negative, texts
+    return (masks, values, negative, np.array(texts, dtype=object),
+            np.arange(values.size))
 
 
 def serialize_poly(poly: MultilinearPolynomial) -> str:
@@ -274,16 +312,13 @@ def serialize_poly(poly: MultilinearPolynomial) -> str:
     """
     if not poly.masks.size:
         return "0"
-    masks, _, negative, mags = canonical_terms(poly)
+    masks, _, negative, texts, which = canonical_terms(poly)
+    negative = negative.tolist()
     # each mask's "*x1*x3": its bytes' names, for the bytes in use
-    used = int(np.bitwise_or.reduce(masks))
-    names = _NAMES[0][masks & 255]
-    for i in range(1, len(_NAMES)):
-        if used >> (8 * i):
-            names = names + _NAMES[i][(masks >> (8 * i)) & 255]
+    names = _by_bytes(_NAMES, masks)
     parts = []
     add = parts.append
-    for neg, mag, name in zip(negative, mags, names.tolist()):
+    for neg, mag, name in zip(negative, texts[which].tolist(), names.tolist()):
         add(" - " if neg else " + ")
         if mag == "1" and name:
             add(name[1:])

@@ -398,3 +398,13 @@ class DictPolynomial:
 
     def influence(self, t: int) -> Real:
         return self._sum_squares(lambda mask: mask >> (t - 1) & 1)
+
+
+def reference_analyze_terms(poly) -> list:
+    """analyze's ``terms`` as the list of dicts it was before its JSON
+    was templated: per term in canonical order, its variables, its value
+    as a float and the exact text of that value."""
+    return [{"variables": [j + 1 for j in range(mask.bit_length()) if mask >> j & 1],
+             "coefficient": float(value),
+             "exact": f"-{text}" if negative else text}
+            for mask, value, negative, text in reference_canonical_terms(poly)]

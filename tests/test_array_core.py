@@ -133,8 +133,9 @@ def test_fourier_quantities_match_dict(pair):
 @given(pairs())
 def test_canonical_text_matches_dict(pair):
     poly, oracle = pair
-    masks, values, negative, mags = funcdsl.canonical_terms(poly)
-    got = list(zip(masks.tolist(), map(typed, values.tolist()), negative, mags))
+    masks, values, negative, texts, which = funcdsl.canonical_terms(poly)
+    got = list(zip(masks.tolist(), map(typed, values.tolist()),
+                   negative.tolist(), texts[which].tolist()))
     want = [(mask, typed(value), negative, text)
             for mask, value, negative, text in reference_canonical_terms(oracle)]
     assert got == want

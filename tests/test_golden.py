@@ -11,13 +11,17 @@ and variance sum round in its last bits), and an n=4 table written in every valu
 table reader takes (``mixed4.csv``).  A change to any answer shows up
 as a diff here.
 
-To refresh the outputs after a deliberate, documented change::
+Existing outputs are frozen.  To write the output of a new case (one
+whose file is missing) and list every case whose bytes differ::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It writes no existing file, and exits 1 when any case differs.
 """
 
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +44,7 @@ SAMPLES = ["--samples", "10000"]
 # case name -> (argv, exit code)
 CASES = {
     "readme_analyze": (["analyze", "--f", MAJ3], 0),
+    "readme_analyze_pretty": (["analyze", "--f", MAJ3, "--format", "pretty"], 0),
     "readme_channel": (["channel", "--f", ZCHAN_F, "--g", ZCHAN_G], 0),
     "readme_channel_pretty": (
         ["channel", "--f", ZCHAN_F, "--g", ZCHAN_G, "--format", "pretty"], 0),
@@ -76,6 +81,8 @@ CASES = {
         ["invariance", "--f", PM8_F, "--g", PM8_G, "--psi", "sin",
          "--seed", "1", *SAMPLES, "--format", "pretty"], 0),
     "real6_analyze": (["analyze", "--f", REAL6], 0),
+    # the terms cells hold each term dict's repr, frozen as is
+    "real6_analyze_csv": (["analyze", "--f", REAL6, "--format", "csv"], 0),
     "real6_invariance": (
         ["invariance", "--f", REAL6, "--psi", "quartic", "--seed", "2", *SAMPLES], 0),
     "real6_channel_lifted": (["channel", "--f", REAL6, "--g", "x1*x7"], 0),
@@ -90,6 +97,8 @@ CASES = {
     # inexact dense coefficients: addition order and float formatting
     # show in the last digits of the coefficients, influences and sums
     "real10d_analyze": (["analyze", "--f", REAL10D], 0),
+    "real10d_analyze_pretty": (
+        ["analyze", "--f", REAL10D, "--format", "pretty"], 0),
     "real10d_lemmas": (["lemmas", "--f", REAL10D, "--g", "1/8*(x1 + x10)"], 0),
     "real10d_channel": (["channel", "--f", REAL10D, "--g", "1/8*(x1 + x10)"], 0),
     # exponents, leading signs, a/b values and blank lines in one table
@@ -113,7 +122,35 @@ def test_golden_output(name):
     assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-if __name__ == "__main__":
+def test_refresh_writes_only_missing_outputs(tmp_path, monkeypatch, capsys):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN", tmp_path)
+    monkeypatch.setattr(module, "CASES", {"maj3": CASES["readme_analyze"]})
+    assert refresh() == 0
+    path = tmp_path / "maj3.out"
+    assert path.read_text(encoding="utf-8") == run_case(CASES["maj3"][0])[1]
+    path.write_text("stale\n", encoding="utf-8")
+    assert refresh() == 1
+    assert path.read_text(encoding="utf-8") == "stale\n"
+    assert capsys.readouterr().out == "wrote maj3.out\ndiffers: maj3\n"
+
+
+def refresh() -> int:
+    """Write the output of every case whose file is missing; list the
+    cases whose bytes differ from their file, and return 1 if any do."""
+    differ = []
     for case, (case_argv, _) in sorted(CASES.items()):
+        path = GOLDEN / f"{case}.out"
         _, text = run_case(case_argv)
-        (GOLDEN / f"{case}.out").write_text(text, encoding="utf-8")
+        if not path.exists():
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path.name}")
+        elif path.read_text(encoding="utf-8") != text:
+            differ.append(case)
+    for case in differ:
+        print(f"differs: {case}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(refresh())
