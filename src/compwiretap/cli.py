@@ -88,10 +88,11 @@ def _cmd_analyze(args):
     if table is None:
         table = boolfn.inverse_wht(poly)
     profile = boolfn.influence_profile(poly)
+    terms = _Terms(poly)
     report = {
         "n": poly.n,
-        "expression": funcdsl.serialize_poly(poly),
-        "terms": _Terms(poly),
+        "expression": terms.expression(),
+        "terms": terms,
         "mean": float(profile.mean),
         "variance": float(profile.variance),
         "degree": boolfn.degree(poly),
@@ -109,8 +110,9 @@ class _Terms:
 
     A term row is ``{"variables", "coefficient", "exact"}``: its 1-based
     variables, its coefficient as a float and the exact text of that
-    coefficient.  ``dicts`` gives the rows that pretty and csv output
-    print; ``json`` writes the text ``json.dumps(..., sort_keys=True,
+    coefficient.  ``expression`` is ``serialize_poly`` of the polynomial,
+    from the same arrays.  ``dicts`` gives the rows that pretty and csv
+    output print; ``json`` writes the text ``json.dumps(..., sort_keys=True,
     indent=2)`` gives for the same list as a top-level value, one
     templated row per term, since the C encoder does not run with
     ``indent``.
@@ -129,6 +131,10 @@ class _Terms:
         # an exact value beyond float range raises OverflowError here
         self.floats = values.astype(float)
 
+    def expression(self) -> str:
+        return funcdsl._join_terms(self.masks, self.negative, self.texts,
+                                   self.which)
+
     def dicts(self) -> list:
         return [{"variables": variables, "coefficient": value,
                  "exact": f"-{mag}" if neg else mag}
@@ -139,8 +145,8 @@ class _Terms:
     def json(self) -> str:
         if not self.masks.size:
             return "[]"
-        # each distinct magnitude's float repr and escaped exact text, once;
-        # an exact text that is not a ratio is already its float's repr
+        # per entry of texts, its float repr and its escaped exact text; a
+        # text with a point or an exponent is already its float's repr
         texts = self.texts.tolist()
         mags = np.empty(len(texts))
         mags[self.which] = np.abs(self.floats)

@@ -214,29 +214,6 @@ def _coeff_string(value) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _float_strings(mags: np.ndarray) -> np.ndarray:
-    """``_coeff_string`` of each positive finite float, as an object array.
-
-    A float is ``odd * 2**shift`` with ``odd`` its mantissa without its
-    trailing zero bits; it is written as a ratio when that ratio's
-    numerator and denominator are both at most 2**53, else by ``repr``.
-    """
-    mant, exp = np.frexp(mags)
-    odd = (mant * 2.0**53).astype(np.int64)  # exact: at most 53 bits
-    zeros = np.bitwise_count((odd & -odd) - 1)
-    odd >>= zeros
-    shift = exp - 53 + zeros
-    whole = (shift >= 0) & (mags <= 2.0**53)
-    ratio = (shift < 0) & (shift >= -53)
-    out = np.empty(mags.size, dtype=object)
-    out[whole] = list(map(str, mags[whole].astype(np.int64).tolist()))
-    out[ratio] = [f"{num}/{1 << -e}" for num, e in
-                  zip(odd[ratio].tolist(), shift[ratio].tolist())]
-    other = ~(whole | ratio)
-    out[other] = list(map(repr, mags[other].tolist()))
-    return out
-
-
 def _byte_tables(entry) -> tuple:
     """Per mask byte, a 256-entry object array: ``entry(variables)`` for
     the 1-based variables whose bits that byte value sets."""
@@ -290,7 +267,9 @@ def canonical_terms(poly: MultilinearPolynomial) -> tuple:
     negative = values < 0
     if values.dtype == np.float64:
         distinct, which = np.unique(np.abs(values), return_inverse=True)
-        return masks, values, negative, _float_strings(distinct), which
+        texts = np.array([_coeff_string(v) for v in distinct.tolist()],
+                         dtype=object)
+        return masks, values, negative, texts, which
     texts = []
     for value, neg in zip(values.tolist(), negative.tolist()):
         mag = -value if neg else value
@@ -310,9 +289,14 @@ def serialize_poly(poly: MultilinearPolynomial) -> str:
     ``Fraction(1, 10)``, whose float is 0.1 again.  The text is stable
     from the second serialization on.
     """
-    if not poly.masks.size:
-        return "0"
     masks, _, negative, texts, which = canonical_terms(poly)
+    return _join_terms(masks, negative, texts, which)
+
+
+def _join_terms(masks, negative, texts, which) -> str:
+    """``serialize_poly``'s text from the arrays of ``canonical_terms``."""
+    if not masks.size:
+        return "0"
     negative = negative.tolist()
     # each mask's "*x1*x3": its bytes' names, for the bytes in use
     names = _by_bytes(_NAMES, masks)

@@ -2,21 +2,20 @@
 
 The JSON text must be the bytes ``json.dumps(..., sort_keys=True,
 indent=2)`` gives for the list of dicts in ``helpers``, and pretty and
-csv output must print that same list.  The bulk float formatting behind
-the exact texts must give ``_coeff_string`` of every magnitude.
+csv output must print that same list.  The expression built from the
+same arrays must be the canonical text.
 """
 
 import json
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compwiretap import MultilinearPolynomial, cli, funcdsl
-from helpers import reference_analyze_terms
+from compwiretap import MultilinearPolynomial, cli
+from helpers import reference_analyze_terms, reference_serialize_poly
 
 MAX_FLOAT = sys.float_info.max
 EDGE_FLOATS = [
@@ -60,6 +59,7 @@ def rendered(poly, fmt: str, terms) -> str:
 @example(MultilinearPolynomial(1, {1: Fraction(-1, 10**400)}))  # -0.0
 def test_terms_render_as_the_list_of_dicts(poly):
     want = reference_analyze_terms(poly)
+    assert cli._Terms(poly).expression() == reference_serialize_poly(poly)
     for fmt in ("json", "pretty", "csv"):
         assert rendered(poly, fmt, cli._Terms(poly)) == rendered(poly, fmt, want)
     assert json.loads(rendered(poly, "json", cli._Terms(poly)))["terms"] == want
@@ -69,14 +69,3 @@ def test_exact_value_beyond_float_range_raises_overflow():
     with pytest.raises(OverflowError):
         cli._Terms(MultilinearPolynomial(1, {1: 10**400}))
 
-
-@settings(max_examples=500)
-@given(st.lists(st.one_of(
-    st.floats(min_value=5e-324, allow_infinity=False),
-    st.sampled_from(EDGE_FLOATS),
-    st.integers(1, 2**60).map(float),
-    st.integers(1, 10**6).map(lambda k: k / 1000)), max_size=40))
-@example(EDGE_FLOATS)
-def test_float_strings_match_coeff_string(mags):
-    got = funcdsl._float_strings(np.array(mags, dtype=np.float64)).tolist()
-    assert got == [funcdsl._coeff_string(v) for v in mags]
