@@ -326,7 +326,7 @@ def _levels(a: np.ndarray, scratch: np.ndarray, h: int) -> None:
         h <<= 1
 
 
-def _butterfly(a: np.ndarray) -> np.ndarray:
+def _butterfly(a: np.ndarray, used=None) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly, O(n * 2**n).
 
     Computes ``out[S] = sum_i (-1)**popcount(i & S) * a[i]``.  The levels
@@ -335,6 +335,12 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     copied into scratch.  Every element sees the same ``x + y`` and
     ``x - y`` in the same level order as a plain level loop, so the
     result is bit-identical to it.
+
+    ``used``, if given, lists the block rows that may hold a nonzero
+    value; the block levels run on those rows only.  Every other row
+    must be all ``+0.0``: the levels would leave it so, since
+    ``+0.0 + +0.0`` and ``+0.0 - +0.0`` are both ``+0.0``, so skipping it
+    gives the same bytes.  The strips always cover the whole grid.
 
     With more than one block, the blocks and then the strips are dealt
     out to worker threads (see :func:`_pool`), each with its own scratch;
@@ -347,11 +353,12 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     rows = size // block  # at most block, since size <= 2**MAX_N
     grid = a.reshape(rows, block)
     width = block // rows
+    used = range(rows) if used is None else used
     workers, pool = _pool(rows)
     scratch = np.empty((workers, block + block // 2), dtype=a.dtype)
 
     def blocks(w):
-        for r in range(w, rows, workers):
+        for r in used[w::workers]:
             _levels(grid[r], scratch[w, block:], 1)
 
     def strips(w):
@@ -381,10 +388,20 @@ def _spectrum(a: np.ndarray, n: int) -> MultilinearPolynomial:
 
 
 def _values(poly: MultilinearPolynomial) -> np.ndarray:
-    """Fresh float array of the polynomial on all 2**n points."""
+    """Fresh float array of the polynomial on all 2**n points.
+
+    The coefficients are placed in a table of ``+0.0`` and transformed.
+    The butterfly's block levels run only on the cache blocks that hold
+    a mask; the others stay ``+0.0``, which is what the levels would
+    write there, so the bytes are those of a transform of every block.
+    For the n=24 chain, where 9 of 256 blocks hold a mask, this takes
+    about 0.15 s against 0.45 s when every block runs (shared 2-core
+    x86-64 machine, numpy 2.4.6).
+    """
     a = np.zeros(1 << poly.n, dtype=np.float64)
     a[poly.masks] = poly.values  # float(v) for each exact coefficient
-    return _butterfly(a)
+    used = np.flatnonzero(np.bincount(poly.masks // _BLOCK))
+    return _butterfly(a, used.tolist())
 
 
 def wht(table: TruthTable) -> MultilinearPolynomial:
@@ -401,7 +418,9 @@ def inverse_wht(poly: MultilinearPolynomial) -> TruthTable:
     """Dense evaluation of a polynomial on all 2**n points.
 
     Exact rational coefficients are converted to floats here; this is
-    the single exact-to-float boundary of the package.
+    the single exact-to-float boundary of the package.  The butterfly
+    skips the block levels of every cache block that holds no mask (see
+    :func:`_values`); the values are bit-identical to a full transform.
     """
     return TruthTable._adopt(poly.n, _values(poly))
 

@@ -235,12 +235,12 @@ def _cmd_invariance(args):
             target = boolfn.sub(f_poly, g_poly)
             bound = invariance.additive_bound(f_poly, g_poly, c4)
             bounds_info["kind"] = "additive"
-            bounds_info["k"] = boolfn.degree(f_poly) * boolfn.degree(g_poly)
+            bounds_info["k"] = invariance.pair_degree(f_poly, g_poly)
         else:
             # The product is built once for the noise and the variant's k.
             mode = "multiplicative"
             target = boolfn.mul(f_poly, g_poly)
-            k_factor = boolfn.degree(f_poly) * boolfn.degree(g_poly)
+            k_factor = invariance.pair_degree(f_poly, g_poly)
             k_product = boolfn.degree(target)
             variant = invariance.multiplicative_bound(
                 spec, c4, k=max(k_product, 1))
@@ -449,6 +449,11 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         # an exact input value too large to become a float
         print(f"error: a value is outside float range ({exc})", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # such as a sample count whose arrays cannot be allocated
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: not enough memory for this input{detail}", file=sys.stderr)
         return 1
     return code
 

@@ -251,10 +251,13 @@ def _pair_epsilon(f: MultilinearPolynomial, g: MultilinearPolynomial) -> Fractio
     return max(_frac(max_influence(f)), _frac(max_influence(g)))
 
 
-def _degree_at_least_one(poly: MultilinearPolynomial) -> int:
-    # A constant is a polynomial of degree at most 1; taking k_i >= 1
-    # keeps the k = k1*k2 exponent from collapsing to zero.
-    return max(degree(poly), 1)
+def pair_degree(f: MultilinearPolynomial, g: MultilinearPolynomial) -> int:
+    """k = k1*k2, the exponent of the pair bounds, for f and g's degrees.
+
+    A constant is a polynomial of degree at most 1; taking k_i >= 1
+    keeps the exponent from collapsing to zero.
+    """
+    return max(degree(f), 1) * max(degree(g), 1)
 
 
 def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
@@ -270,7 +273,7 @@ def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
         var = float(variance(poly))
         if var > 0.25 + _VAR_QUARTER_TOL:
             raise PreconditionError(f"Var[{name}] = {var} exceeds 1/4")
-    k = _degree_at_least_one(f) * _degree_at_least_one(g)
+    k = pair_degree(f, g)
     eps = _pair_epsilon(f, g)
     return float(_frac(c4) * Fraction(k * 9 ** k, 3) * eps)
 
@@ -292,7 +295,7 @@ def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
             raise PreconditionError(f"{name} is not ±1-valued")
     f, g = spec.f_poly, spec.g_poly
     if k is None:
-        k = _degree_at_least_one(f) * _degree_at_least_one(g)
+        k = pair_degree(f, g)
     l = term_count(f) * term_count(g)
     eps = _pair_epsilon(f, g)
     return float(_frac(c4) * Fraction(k * l * 9 ** k, 3) * eps)

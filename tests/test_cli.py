@@ -162,6 +162,26 @@ def test_invariance_verdict_failure_exits_3(capsys):
     assert report["passed"] is False
 
 
+def test_invariance_pair_reports_the_exponent_its_bound_used(capsys):
+    # a constant counts as degree 1 in k = k1*k2, in the reported k too
+    code, report = run_json(capsys, [
+        "invariance", "--f", "1/4", "--g", "1/4*x1", "--samples", "20000"])
+    assert code == 0 and report["mode"] == "additive"
+    info = report["bound_info"]
+    assert info["k"] == 1
+    assert report["bound"] == 0.1875
+    assert report["bound"] == info["C"] / 3 * info["k"] * 9 ** info["k"] * info["eps"]
+
+    code, report = run_json(capsys, [
+        "invariance", "--f", "1", "--g", "x1*x2", "--samples", "20000"])
+    assert code == 0 and report["mode"] == "multiplicative"
+    info = report["bound_info"]
+    k = info["k_factor_degrees"]
+    assert k == 2 and info["l"] == 1
+    assert info["literal"] == 54.0
+    assert info["literal"] == info["C"] / 3 * k * info["l"] * 9 ** k * info["eps"]
+
+
 def test_invariance_precondition_exits_2(capsys):
     code = main(["invariance", "--f", "2*x1", "--g", "0.3*x2",
                  "--samples", "20000"])
@@ -329,6 +349,22 @@ def test_value_beyond_float_range_exits_1(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: a value is outside float range")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("exc, detail", [
+    (MemoryError("Unable to allocate 745. GiB for an array"),
+     " (Unable to allocate 745. GiB for an array)"),
+    (MemoryError(), ""),
+])
+def test_out_of_memory_exits_1(monkeypatch, capsys, exc, detail):
+    def allocate(*args):
+        raise exc
+    monkeypatch.setattr(invariance, "hypothesis_check", allocate)
+    assert main(["moments", "--dist", "gaussian",
+                 "--samples", "100000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not enough memory for this input{detail}\n"
 
 
 def test_json_output_is_byte_stable(capsys):
