@@ -23,10 +23,8 @@ from .boolfn import (
     PreconditionError,
     TruthTable,
     degree,
-    evaluate,
     evaluate_batch,
     index_to_point,
-    influence_flip,
     influence_profile,
     influence_spectral,
     inverse_wht,
@@ -35,7 +33,6 @@ from .boolfn import (
     mean,
     mul,
     point_to_index,
-    points_matrix,
     sub,
     term_count,
     variance,

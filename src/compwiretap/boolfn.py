@@ -99,13 +99,6 @@ class TruthTable:
             raise ValueError(f"table length {size} is not a power of two >= 2")
         return cls(size.bit_length() - 1, values)
 
-    @classmethod
-    def from_function(cls, n: int, fn) -> "TruthTable":
-        """Evaluate ``fn(point)`` on every point, ``point`` a ±1 tuple."""
-        _check_n(n)
-        vals = [fn(tuple(index_to_point(i, n))) for i in range(1 << n)]
-        return cls(n, np.array(vals, dtype=np.float64))
-
     def point(self, index: int) -> tuple:
         """The ±1 point encoded by ``index`` under the shared convention."""
         return index_to_point(index, self.n)
@@ -130,14 +123,6 @@ def point_to_index(point) -> int:
         elif x != 1:
             raise ValueError(f"point entries must be ±1, got {x!r}")
     return index
-
-
-def points_matrix(n: int) -> np.ndarray:
-    """(2**n, n) matrix of all ±1 points in index order."""
-    _check_n(n)
-    idx = np.arange(1 << n, dtype=np.int64)[:, None]
-    bits = (idx >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.float64)
 
 
 _REALS = (float, Fraction, int)
@@ -425,28 +410,6 @@ def inverse_wht(poly: MultilinearPolynomial) -> TruthTable:
     return TruthTable._adopt(poly.n, _values(poly))
 
 
-def evaluate(poly: MultilinearPolynomial, point) -> Real:
-    """Evaluate the polynomial at one point: sum_S f^(S) prod_{j in S} x_j.
-
-    The point may have arbitrary real entries (not just ±1); exactness is
-    preserved when both coefficients and entries are exact.
-    """
-    point = tuple(point)
-    if len(point) != poly.n:
-        raise ValueError(
-            f"point has length {len(point)}, polynomial has n={poly.n}")
-    total = 0
-    for mask, value in zip(poly.masks.tolist(), poly.values.tolist()):
-        term = value
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            term = term * point[j]
-            m &= m - 1
-        total = total + term
-    return total
-
-
 #: Rows per block of :func:`evaluate_batch`; fewer when the memoised
 #: monomials of a block would exceed :data:`_MEMO_POINTS` values (32 MiB).
 _EVAL_ROWS = 1 << 12
@@ -597,24 +560,6 @@ def is_boolean_valued(table: TruthTable) -> bool:
     return bool(np.all(np.abs(np.abs(table.values) - 1.0) <= BOOLEAN_TOL))
 
 
-def influence_flip(table: TruthTable, t: int) -> float:
-    """Pr[f(x) != f(x with coordinate t flipped)] for ±1-valued f.
-
-    Requires a Boolean-valued table; values within BOOLEAN_TOL of ±1 are
-    treated as that sign.
-    """
-    if not 1 <= t <= table.n:
-        raise ValueError(f"coordinate t={t} out of range 1..{table.n}")
-    if not is_boolean_valued(table):
-        raise PreconditionError(
-            "influence_flip requires a ±1-valued table "
-            f"(tolerance {BOOLEAN_TOL:g})")
-    flipped = np.arange(1 << table.n) ^ (1 << (t - 1))
-    # values are within 1e-9 of ±1, so pointwise differences are ~0 or ~2
-    differs = np.abs(table.values - table.values[flipped]) > 1.0
-    return float(np.mean(differs))
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
@@ -622,6 +567,31 @@ def influence_flip(table: TruthTable, t: int) -> float:
 def _require_same_n(f: MultilinearPolynomial, g: MultilinearPolynomial):
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: n={f.n} vs n={g.n}")
+
+
+#: Most term pairs one exact product convolves: an exact pair costs about 6 µs
+#: in process and in a CLI answer, so a product at the cap takes about 0.4 s.
+_MAX_EXACT_PAIRS = 1 << 16
+
+
+def _check_exact_pairs(p: int, q: int) -> None:
+    if p * q > _MAX_EXACT_PAIRS:
+        raise ValueError(f"exact product of {p} by {q} terms exceeds the cap "
+                         f"of {_MAX_EXACT_PAIRS} term pairs")
+
+
+def _convolve(a, b, out=None) -> dict:
+    """Add the product of each ``(mask, value)`` of ``a`` and each of
+    re-iterable ``b``, row by row, into ``out`` (a fresh dict by default)
+    at the masks' symmetric difference.  A mask keeps the place where it
+    first appeared, even when its sum passes through zero; the caller
+    drops zeros when its operation ends."""
+    out = {} if out is None else out
+    for m1, v1 in a:
+        for m2, v2 in b:
+            mask = m1 ^ m2  # x_i**2 == 1 on the hypercube
+            out[mask] = out.get(mask, 0) + v1 * v2
+    return out
 
 
 def sub(f: MultilinearPolynomial, g: MultilinearPolynomial) -> MultilinearPolynomial:
@@ -654,7 +624,8 @@ def mul(f: MultilinearPolynomial, g: MultilinearPolynomial) -> MultilinearPolyno
     inputs.  When every coefficient is exact (``Fraction`` or ``int``),
     or when ``terms(f) * terms(g) <= 2**n``, coefficients are convolved
     over the symmetric difference of masks (x_i**2 = 1), which keeps
-    exact rationals exact.  Otherwise the product is taken pointwise on
+    exact rationals exact (more than :data:`_MAX_EXACT_PAIRS` exact term
+    pairs raise ``ValueError``).  Otherwise the product is taken pointwise on
     the dense tables, ``wht(inverse_wht(f) * inverse_wht(g))``, in
     O(n * 2**n); its float coefficients follow the transform's rule and
     are dropped at or below :data:`PRUNE_TOL`.
@@ -663,14 +634,12 @@ def mul(f: MultilinearPolynomial, g: MultilinearPolynomial) -> MultilinearPolyno
     exact = all(poly.values.dtype == object
                 and all(isinstance(v, Rational) for v in poly.values.tolist())
                 for poly in (f, g))
+    if exact:
+        _check_exact_pairs(f.masks.size, g.masks.size)
     if exact or f.masks.size * g.masks.size <= 1 << f.n:
-        coeffs = {}
-        g_terms = list(zip(g.masks.tolist(), g.values.tolist()))
-        for m1, v1 in zip(f.masks.tolist(), f.values.tolist()):
-            for m2, v2 in g_terms:
-                mask = m1 ^ m2
-                coeffs[mask] = coeffs.get(mask, 0) + v1 * v2
-        return MultilinearPolynomial(f.n, coeffs)
+        return MultilinearPolynomial(f.n, _convolve(
+            zip(f.masks.tolist(), f.values.tolist()),
+            list(zip(g.masks.tolist(), g.values.tolist()))))
     table = _values(f)
     table *= _values(g)
     return _spectrum(table, f.n)

@@ -18,6 +18,8 @@ Two concrete formats:
   single token, written without spaces).  Parsing uses exact rational
   arithmetic and returns the fully expanded multilinear normal form:
   products distributed, powers reduced by x_i**2 -> 1, like terms merged.
+  Expansion uses ``mul``'s coefficient convolution, ``boolfn._convolve``,
+  on ``{mask: Fraction}`` dicts; each product is capped by pair count.
 
 * A truth-table file, either CSV (a ``# n=<k>`` comment line, an
   ``index,value`` header, then one row per point) or a JSON object
@@ -33,7 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import MAX_N, MultilinearPolynomial, TruthTable, point_to_index
+from .boolfn import (MAX_N, MultilinearPolynomial, TruthTable, _check_exact_pairs,
+                     _convolve, point_to_index)
 
 
 class ParseError(ValueError):
@@ -91,34 +94,6 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for mask, v in b.items():
-        s = out.get(mask, 0) + v
-        if s:
-            out[mask] = s
-        else:
-            out.pop(mask, None)
-    return out
-
-
-def _poly_neg(a: dict) -> dict:
-    return {mask: -v for mask, v in a.items()}
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for m1, v1 in a.items():
-        for m2, v2 in b.items():
-            mask = m1 ^ m2  # x_i**2 == 1 on the hypercube
-            s = out.get(mask, 0) + v1 * v2
-            if s:
-                out[mask] = s
-            else:
-                out.pop(mask, None)
-    return out
-
-
 class _Parser:
     def __init__(self, tokens, text_len):
         self.tokens = tokens
@@ -135,23 +110,23 @@ class _Parser:
         return tok
 
     def expr(self) -> dict:
-        poly = self.term()
+        poly = self.term()  # a fresh dict: the sum accumulates into it
         while self.peek()[0] in ("+", "-"):
-            op, _, _ = self.take()
-            rhs = self.term()
-            poly = _poly_add(poly, rhs if op == "+" else _poly_neg(rhs))
-        return poly
+            sign = 1 if self.take()[0] == "+" else -1
+            _convolve(self.term().items(), ((0, sign),), poly)
+        return {m: v for m, v in poly.items() if v}
 
     def term(self) -> dict:
-        negate = False
-        if self.peek()[0] == "-":
+        negate = self.peek()[0] == "-"
+        if negate:
             self.take()
-            negate = True
         poly = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            poly = _poly_mul(poly, self.factor())
-        return _poly_neg(poly) if negate else poly
+            rhs = self.factor()
+            _check_exact_pairs(len(poly), len(rhs))
+            poly = {m: v for m, v in _convolve(poly.items(), rhs.items()).items() if v}
+        return _convolve(poly.items(), ((0, -1),)) if negate else poly
 
     def factor(self) -> dict:
         kind, value, pos = self.take()

@@ -18,10 +18,17 @@ from compwiretap import boolfn
 from compwiretap.boolfn import point_to_index
 
 
+#: ``((1+x1)*...*(1+x10))*((1+x11)*...*(1+x20))``: an exact product of
+#: two 1024-term sides, 2**20 term pairs.
+PRODUCT_20 = "*".join(
+    "(" + "*".join(f"(1+x{i})" for i in range(lo, lo + 10)) + ")"
+    for lo in (1, 11))
+
+
 def maj3_table() -> TruthTable:
     def maj(point):
         return 1.0 if sum(point) > 0 else -1.0
-    return TruthTable.from_function(3, maj)
+    return table_from_function(3, maj)
 
 
 def maj3_poly() -> MultilinearPolynomial:
@@ -92,6 +99,17 @@ def all_points(n: int):
         yield tuple(1 - 2 * ((index >> j) & 1) for j in range(n))
 
 
+def table_from_function(n: int, fn) -> TruthTable:
+    """Table of ``fn(point)`` on every ±1 point, in index order."""
+    return TruthTable(n, [fn(point) for point in all_points(n)])
+
+
+def influence_flip(table: TruthTable, t: int) -> float:
+    """Pr[f(x) != f(x with coordinate t flipped)] for a ±1-valued table."""
+    flipped = np.arange(1 << table.n) ^ (1 << (t - 1))
+    return float(np.mean(table.values != table.values[flipped]))
+
+
 def eval_poly_at(coeffs: dict, point) -> Fraction:
     total = Fraction(0)
     for mask, value in coeffs.items():
@@ -101,6 +119,48 @@ def eval_poly_at(coeffs: dict, point) -> Fraction:
                 term *= x
         total += term
     return total
+
+
+def expand_expression(node) -> list:
+    """``(mask, value)`` terms of an expression tree, in the order the
+    parser's documented rule gives them.
+
+    A node is ``("num", Fraction)``, ``("var", j)``, ``("term", negate,
+    factors)`` or ``("sum", [(op, term), ...])``, mirroring the grammar:
+    a sum is a flat chain of signed terms and a parenthesised factor is
+    a sum.  Every sum, and every product of a term's running product with
+    its next factor, lists a mask where it first appears and adds to it
+    there, even when its running sum passes through zero; zero sums are
+    dropped when that sum or product ends.  A unary minus negates the
+    term's product.
+    """
+    def add(pairs, mask, value):
+        for pair in pairs:
+            if pair[0] == mask:
+                pair[1] += value
+                return
+        pairs.append([mask, value])
+
+    kind = node[0]
+    if kind == "num":
+        return [(0, node[1])] if node[1] else []
+    if kind == "var":
+        return [(1 << (node[1] - 1), Fraction(1))]
+    if kind == "sum":
+        pairs = []
+        for op, term in node[1]:
+            for mask, value in expand_expression(term):
+                add(pairs, mask, value if op == "+" else -value)
+        return [(mask, value) for mask, value in pairs if value != 0]
+    _, negate, factors = node
+    terms = expand_expression(factors[0])
+    for factor in factors[1:]:
+        pairs = []
+        for m1, v1 in terms:
+            for m2, v2 in expand_expression(factor):
+                add(pairs, m1 ^ m2, v1 * v2)
+        terms = [(mask, value) for mask, value in pairs if value != 0]
+    return [(mask, -value) for mask, value in terms] if negate else terms
 
 
 def brute_joint(f_values, g_values):

@@ -20,10 +20,8 @@ from compwiretap import (
     commutes,
     corollary_bound,
     eve_success_probability,
-    evaluate,
     expect_exact,
     expect_gaussian_mc,
-    influence_flip,
     influence_spectral,
     joint_distribution,
     lemma_suite,
@@ -41,6 +39,8 @@ from helpers import (
     brute_commutes,
     brute_success_probability,
     chain_pair_polys,
+    eval_poly_at,
+    influence_flip,
     maj3_table,
     random_boolean_table,
     random_rational_poly,
@@ -273,8 +273,8 @@ def test_criterion_11_commutativity():
         report = commutes(spec)
         assert not report.commutes
         x0, x1 = report.witness
-        assert evaluate(spec.f_poly, x0) == evaluate(spec.f_poly, x1)
-        assert evaluate(spec.g_poly, x0) != evaluate(spec.g_poly, x1)
+        assert eval_poly_at(spec.f_poly.coeffs, x0) == eval_poly_at(spec.f_poly.coeffs, x1)
+        assert eval_poly_at(spec.g_poly.coeffs, x0) != eval_poly_at(spec.g_poly.coeffs, x1)
 
         # exhaustive brute-force check over every ±1-valued pair at n=2
         tables = [

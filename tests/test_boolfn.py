@@ -10,12 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from compwiretap import (
     MultilinearPolynomial,
-    PreconditionError,
     TruthTable,
     degree,
-    evaluate,
     evaluate_batch,
-    influence_flip,
     influence_profile,
     influence_spectral,
     inverse_wht,
@@ -24,7 +21,6 @@ from compwiretap import (
     mean,
     mul,
     point_to_index,
-    points_matrix,
     sub,
     term_count,
     variance,
@@ -32,10 +28,12 @@ from compwiretap import (
 )
 from compwiretap import boolfn, serialize_poly
 from helpers import (
+    all_points,
     brute_product_coeffs,
     chain_pair_polys,
     convolve_coeffs,
     eval_poly_at,
+    influence_flip,
     maj3_poly,
     maj3_table,
     random_boolean_table,
@@ -44,6 +42,7 @@ from helpers import (
     reference_evaluate_batch,
     reference_values,
     refuse_threads,
+    table_from_function,
     use_workers,
     zchannel_f_poly,
     zchannel_g_poly,
@@ -74,9 +73,8 @@ def test_index_point_convention():
     assert t.point(1) == (-1, 1, 1)
     assert t.point(6) == (1, -1, -1)
     assert point_to_index((1, -1, -1)) == 6
-    X = points_matrix(3)
-    for i in range(8):
-        assert tuple(int(v) for v in X[i]) == t.point(i)
+    for i, point in enumerate(all_points(3)):
+        assert point == t.point(i)
 
 
 def test_polynomial_validation():
@@ -145,7 +143,7 @@ def test_wht_constant():
 
 
 def test_wht_dictator():
-    table = TruthTable.from_function(2, lambda p: p[1])  # f(x) = x_2
+    table = table_from_function(2, lambda p: p[1])  # f(x) = x_2
     assert wht(table).coeffs == {0b10: 1.0}
 
 
@@ -172,11 +170,9 @@ def test_roundtrip_random_tables():
 
 def test_evaluate_maj3():
     poly = maj3_poly()
-    assert evaluate(poly, (1, 1, -1)) == 1
-    assert evaluate(poly, (-1, -1, 1)) == -1
-    assert evaluate(poly, (1, 1, 1)) == sum(poly.coeffs.values())
-    with pytest.raises(ValueError):
-        evaluate(poly, (1, 1))
+    assert eval_poly_at(poly.coeffs, (1, 1, -1)) == 1
+    assert eval_poly_at(poly.coeffs, (-1, -1, 1)) == -1
+    assert eval_poly_at(poly.coeffs, (1, 1, 1)) == sum(poly.coeffs.values())
 
 
 def test_inverse_wht_keeps_one_table_copy():
@@ -213,7 +209,7 @@ def test_evaluate_batch_matches_scalar():
     X = rng.standard_normal((40, 5))
     batch = evaluate_batch(poly, X)
     for i in range(40):
-        single = float(evaluate(poly, tuple(float(v) for v in X[i])))
+        single = float(eval_poly_at(poly.coeffs, tuple(float(v) for v in X[i])))
         assert abs(batch[i] - single) <= 1e-12
 
 
@@ -324,17 +320,11 @@ def test_influence_spectral_chain():
 def test_influence_flip_examples():
     t = maj3_table()
     assert [influence_flip(t, i) for i in (1, 2, 3)] == [0.5, 0.5, 0.5]
-    dictator = TruthTable.from_function(2, lambda p: p[0])
+    dictator = table_from_function(2, lambda p: p[0])
     assert influence_flip(dictator, 1) == 1.0
     assert influence_flip(dictator, 2) == 0.0
-    parity = TruthTable.from_function(3, lambda p: p[0] * p[1] * p[2])
+    parity = table_from_function(3, lambda p: p[0] * p[1] * p[2])
     assert all(influence_flip(parity, i) == 1.0 for i in (1, 2, 3))
-
-
-def test_influence_flip_rejects_real_valued():
-    t = TruthTable(2, [0.5, 1.0, -1.0, 1.0])
-    with pytest.raises(PreconditionError):
-        influence_flip(t, 1)
 
 
 def test_variance_examples():
@@ -444,6 +434,20 @@ def test_mul_exact_inputs_stay_exact():
         assert all(isinstance(v, Fraction) for v in product.coeffs.values())
         expected = brute_product_coeffs(f.coeffs, g.coeffs, n)
         assert product.coeffs == {m: v for m, v in expected.items() if v}
+
+
+def test_mul_exact_product_at_the_pair_cap():
+    assert boolfn._MAX_EXACT_PAIRS == 256 * 256
+    side = MultilinearPolynomial(8, {mask: Fraction(1) for mask in range(256)})
+    assert mul(side, side).coeffs == {mask: 256 for mask in range(256)}
+    wider = MultilinearPolynomial(9, {mask: Fraction(1) for mask in range(257)})
+    with pytest.raises(ValueError) as err:
+        mul(wider, side.with_n(9))
+    assert str(err.value) == (
+        "exact product of 257 by 256 terms exceeds the cap of 65536 term pairs")
+    # a float product is not capped: it takes the dense path
+    floats = MultilinearPolynomial(9, (wider.masks, wider.values.astype(float)))
+    assert mul(floats, side.with_n(9)).coeffs == convolve_coeffs(wider.coeffs, side.coeffs)
 
 
 def test_mul_dense_boolean_pair_matches_convolution(monkeypatch):

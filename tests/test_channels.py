@@ -14,7 +14,6 @@ from compwiretap import (
     classic_channel,
     commutes,
     eve_success_probability,
-    evaluate,
     joint_distribution,
     map_estimator,
     multiplicative_noise,
@@ -27,6 +26,7 @@ from helpers import (
     brute_joint,
     brute_success_probability,
     chain_pair_polys,
+    eval_poly_at,
     maj3_poly,
     random_boolean_table,
     zchannel_f_poly,
@@ -233,8 +233,8 @@ def test_commutes_zchannel_false_with_valid_witness():
     report = commutes(spec)
     assert not report.commutes
     x0, x1 = report.witness
-    assert evaluate(spec.f_poly, x0) == evaluate(spec.f_poly, x1)
-    assert evaluate(spec.g_poly, x0) != evaluate(spec.g_poly, x1)
+    assert eval_poly_at(spec.f_poly.coeffs, x0) == eval_poly_at(spec.f_poly.coeffs, x1)
+    assert eval_poly_at(spec.g_poly.coeffs, x0) != eval_poly_at(spec.g_poly.coeffs, x1)
 
 
 def test_commutes_iff_success_one_random():
@@ -280,7 +280,7 @@ def test_additive_noise_chain_example():
     raw = {}
     for i in range(1 << n):
         point = tuple(1 - 2 * ((i >> j) & 1) for j in range(n))
-        value = evaluate(f, point) - evaluate(g, point)
+        value = eval_poly_at(f.coeffs, point) - eval_poly_at(g.coeffs, point)
         raw[value] = raw.get(value, 0) + Fraction(1, 1 << n)
     assert len(nm.noise_values) == len(raw)
     for value, prob in zip(nm.noise_values, nm.noise_probs):
@@ -425,6 +425,6 @@ def test_joint_views_match_enumeration(pair):
     report = commutes(spec)
     assert report.commutes == brute_commutes(f, g)
     if not report.commutes:
-        x0, x1 = (evaluate(spec.f_poly, x) for x in report.witness)
-        y0, y1 = (evaluate(spec.g_poly, x) for x in report.witness)
+        x0, x1 = (eval_poly_at(spec.f_poly.coeffs, x) for x in report.witness)
+        y0, y1 = (eval_poly_at(spec.g_poly.coeffs, x) for x in report.witness)
         assert abs(x0 - x1) <= 1e-9 and abs(y0 - y1) > 1e-9

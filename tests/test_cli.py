@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
 from compwiretap import boolfn, channels, funcdsl, invariance
 from compwiretap.cli import main
+from helpers import PRODUCT_20
 
 MAJ3 = "1/2*(x1 + x2 + x3 - x1*x2*x3)"
 ZCHAN_F = "x1*x2*x3"
@@ -349,6 +351,16 @@ def test_value_beyond_float_range_exits_1(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: a value is outside float range")
         assert "Traceback" not in captured.err
+
+
+def test_product_over_the_pair_cap_exits_1(capsys):
+    start = time.perf_counter()
+    assert main(["analyze", "--f", PRODUCT_20]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: exact product of 1024 by 1024 terms "
+                            "exceeds the cap of 65536 term pairs\n")
 
 
 @pytest.mark.parametrize("exc, detail", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compwiretap import (
@@ -20,8 +20,10 @@ from compwiretap import (
     term_count,
     wht,
 )
-from compwiretap import funcdsl
+from compwiretap import boolfn, funcdsl
 from helpers import (
+    PRODUCT_20,
+    expand_expression,
     maj3_poly,
     maj3_table,
     random_rational_poly,
@@ -86,6 +88,93 @@ def test_parse_declared_n():
 def test_parse_cancellation_drops_terms():
     assert parse_poly("x1*x2 - x2*x1").coeffs == {}
     assert serialize_poly(parse_poly("x1 - x1")) == "0"
+
+
+def _terms(poly) -> list:
+    return [(mask, type(value), value)
+            for mask, value in zip(poly.masks.tolist(), poly.values.tolist())]
+
+
+def test_parse_term_order_keeps_the_first_place_of_a_cancelled_mask():
+    # x1 cancels inside the parentheses and comes back: it keeps its
+    # first place, ahead of the constant
+    assert _terms(parse_poly("(x1 - x1 + 2 + x1)*x1 - 3")) == [
+        (0, Fraction, -2), (1, Fraction, 2)]
+    assert _terms(parse_poly("x1 - x1 + x2 + x1")) == [
+        (1, Fraction, 1), (2, Fraction, 1)]
+    # a parenthesised sum drops its zeros when it ends
+    assert _terms(parse_poly("(x1 - x1 + x2) + x1")) == [
+        (2, Fraction, 1), (1, Fraction, 1)]
+
+
+_CONSTANTS = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)])
+
+
+@st.composite
+def _expressions(draw, n, depth=2):
+    """``(text, tree)`` of a random expression over x1..xn, with up to
+    ``depth`` levels of parentheses; see ``helpers.expand_expression``."""
+    terms, texts, bodies = [], [], []
+    for k in range(draw(st.integers(1, 4))):
+        if k and draw(st.booleans()):
+            # an earlier term with the opposite sign, so that its masks'
+            # running sums pass through zero
+            j = draw(st.integers(0, k - 1))
+            op = "-" if terms[j][0] == "+" else "+"
+            terms.append((op, terms[j][1]))
+            bodies.append(bodies[j])
+            texts.append(f" {op} {bodies[j]}")
+            continue
+        op = draw(st.sampled_from("+-")) if k else "+"
+        negate = draw(st.booleans())
+        factors, factor_texts = [], []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(("num", "var", "var", "sum")[:4 if depth else 3]))
+            if kind == "num":
+                factor = ("num", draw(_CONSTANTS))
+                text = str(factor[1])
+            elif kind == "var":
+                factor = ("var", draw(st.integers(1, n)))
+                text = f"x{factor[1]}"
+            else:
+                text, factor = draw(_expressions(n, depth - 1))
+                text = f"({text})"
+            factors.append(factor)
+            factor_texts.append(text)
+        terms.append((op, ("term", negate, factors)))
+        bodies.append(("-" if negate else "") + "*".join(factor_texts))
+        texts.append(f" {op} {bodies[-1]}" if k else bodies[-1])
+    return "".join(texts), ("sum", terms)
+
+
+# a few percent of these expressions order their terms differently
+# where a cancelled mask loses its place, so the test draws more
+@settings(max_examples=300)
+@given(st.integers(1, 6).flatmap(_expressions))
+def test_parse_term_order_matches_the_documented_rule(case):
+    text, tree = case
+    expected = [(mask, type(value), value)
+                for mask, value in expand_expression(tree)]
+    assert _terms(parse_poly(text, 6)) == expected
+
+
+def test_parse_refuses_a_product_over_the_pair_cap():
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        parse_poly(PRODUCT_20)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (
+        "exact product of 1024 by 1024 terms exceeds the cap of "
+        "65536 term pairs")
+
+
+def test_parse_product_at_the_pair_cap_computes(monkeypatch):
+    monkeypatch.setattr(boolfn, "_MAX_EXACT_PAIRS", 4)
+    assert parse_poly("(1 + x1)*(1 + x2)").coeffs == {
+        0: 1, 1: 1, 2: 1, 3: 1}
+    with pytest.raises(ValueError, match="of 4 by 2 terms exceeds the cap of 4 "):
+        parse_poly("(1 + x1)*(1 + x2)*(1 + x3)")
 
 
 def test_parse_errors():

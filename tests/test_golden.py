@@ -104,6 +104,12 @@ CASES = {
     # exponents, leading signs, a/b values and blank lines in one table
     "mixed4_analyze": (["analyze", "--f", MIXED4], 0),
     "mixed4_channel": (["channel", "--f", MIXED4, "--g", "1/2*(x1 + x2*x3)"], 0),
+    # an exact product of 1024 by 1024 terms: over the pair cap, refused
+    "product20_analyze_refused": (
+        ["analyze", "--f",
+         "((1+x1)*(1+x2)*(1+x3)*(1+x4)*(1+x5)*(1+x6)*(1+x7)*(1+x8)*(1+x9)*(1+x10))"
+         "*((1+x11)*(1+x12)*(1+x13)*(1+x14)*(1+x15)*(1+x16)*(1+x17)*(1+x18)*(1+x19)*(1+x20))"],
+        1),
 }
 
 
