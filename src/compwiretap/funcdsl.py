@@ -19,7 +19,8 @@ Two concrete formats:
   arithmetic and returns the fully expanded multilinear normal form:
   products distributed, powers reduced by x_i**2 -> 1, like terms merged.
   Expansion uses ``mul``'s coefficient convolution, ``boolfn._convolve``,
-  on ``{mask: Fraction}`` dicts; each product is capped by pair count.
+  on ``{mask: Fraction}`` dicts; each product, and all the products of
+  one expression together, are capped by pair count.
 
 * A truth-table file, either CSV (a ``# n=<k>`` comment line, an
   ``index,value`` header, then one row per point) or a JSON object
@@ -94,12 +95,18 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+#: Most term pairs the products of one expression convolve in all: the
+#: canonical text of a dense table at n = 16 needs 16 * 2**15.
+_MAX_PARSE_PAIRS = 1 << 20
+
+
 class _Parser:
     def __init__(self, tokens, text_len):
         self.tokens = tokens
         self.i = 0
         self.text_len = text_len
         self.max_var = 0
+        self.pairs = 0  # exact term pairs convolved by every '*' so far
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.text_len)
@@ -125,6 +132,10 @@ class _Parser:
             self.take()
             rhs = self.factor()
             _check_exact_pairs(len(poly), len(rhs))
+            self.pairs += len(poly) * len(rhs)
+            if self.pairs > _MAX_PARSE_PAIRS:
+                raise ValueError(f"exact products of the expression exceed the "
+                                 f"cap of {_MAX_PARSE_PAIRS} term pairs in all")
             poly = {m: v for m, v in _convolve(poly.items(), rhs.items()).items() if v}
         return _convolve(poly.items(), ((0, -1),)) if negate else poly
 

@@ -177,24 +177,35 @@ def hypothesis_check(dist: InputDistribution, samples: int = 100_000,
 
     Each moment is tested with tolerance 5 standard errors; declared
     exact moments are tested exactly (zero stderr).
+
+    The draw is made here; the four powers are independent tasks on
+    worker threads (see :func:`boolfn._pool`), the costly k = 4 and 3
+    first.  Each task runs the same numpy calls on the same array, so
+    the report does not depend on the number of workers.
     """
     if samples < 10_000:
         raise PreconditionError(f"need at least 10^4 samples, got {samples}")
     rng = np.random.default_rng(seed)
     x = np.asarray(dist.sampler(rng, samples), dtype=np.float64)
-    emp_moments = []
-    emp_stderrs = []
-    for k in range(1, 5):
+
+    def power_moment(k):
         p = x ** k
-        emp_moments.append(float(np.mean(p)))
-        emp_stderrs.append(float(np.std(p, ddof=1) / math.sqrt(samples)))
+        return float(np.mean(p)), float(np.std(p, ddof=1) / math.sqrt(samples))
+
+    _, pool = _pool(4)
+    with pool as executor:
+        if executor is None:
+            stats = [power_moment(k) for k in range(1, 5)]
+        else:
+            tasks = {k: executor.submit(power_moment, k) for k in (4, 3, 2, 1)}
+            stats = [tasks[k].result() for k in range(1, 5)]
+    emp_moments, emp_stderrs = zip(*stats)
     if dist.exact_moments is not None:
         moments = tuple(float(m) for m in dist.exact_moments)
         stderrs = (0.0, 0.0, 0.0, 0.0)
         exact = True
     else:
-        moments = tuple(emp_moments)
-        stderrs = tuple(emp_stderrs)
+        moments, stderrs = emp_moments, emp_stderrs
         exact = False
     flags = _moment_flags(moments, stderrs)
     return MomentReport(
@@ -203,8 +214,8 @@ def hypothesis_check(dist: InputDistribution, samples: int = 100_000,
         seed=seed,
         moments=moments,
         stderrs=stderrs,
-        empirical_moments=tuple(emp_moments),
-        empirical_stderrs=tuple(emp_stderrs),
+        empirical_moments=emp_moments,
+        empirical_stderrs=emp_stderrs,
         flags=flags,
         passed=all(flags),
         exact=exact,

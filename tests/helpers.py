@@ -468,3 +468,51 @@ def reference_analyze_terms(poly) -> list:
              "coefficient": float(value),
              "exact": f"-{text}" if negative else text}
             for mask, value, negative, text in reference_canonical_terms(poly)]
+
+
+# ---------------------------------------------------------------------------
+# Exact expectations of polynomial psi
+# ---------------------------------------------------------------------------
+
+#: Polynomial test functions by catalog name, as the power of F they take.
+PSI_POWERS = {"identity": 1, "square": 2, "quartic": 4}
+
+
+def exact_expectation(poly, psi: str, gaussian: bool) -> Fraction:
+    """E[psi(F(x))] in exact rationals, for a polynomial ``psi`` of
+    :data:`PSI_POWERS`, with x standard Gaussian or uniform ±1.
+
+    Both ensembles have E[x] = E[x**3] = 0 and E[x**2] = 1, so they agree
+    on E[F] = c_{} and E[F**2] = sum_S c_S**2; they differ in E[x**4]
+    (3 against 1).  Write F**2 = sum d_{A,B} x^A prod_{i in B} x_i**2 with
+    A = S^T and B = S&T over term pairs (S, T).  A product of two such
+    monomials has a nonzero mean only when their A agree, so
+
+        E[F**4] = sum_A sum_{B1, B2} d_{A,B1} d_{A,B2} E[x**4]**|B1 & B2|.
+    """
+    coeffs = [(int(mask), Fraction(value)) for mask, value in poly.coeffs.items()]
+    power = PSI_POWERS[psi]
+    if power == 1:
+        return sum((value for mask, value in coeffs if mask == 0), Fraction(0))
+    if power == 2:
+        return sum((value * value for _, value in coeffs), Fraction(0))
+    square = {}
+    for s, cs in coeffs:
+        for t, ct in coeffs:
+            square[s ^ t, s & t] = square.get((s ^ t, s & t), 0) + cs * ct
+    by_odd = {}
+    for (odd, even), value in square.items():
+        by_odd.setdefault(odd, []).append((even, value))
+    fourth = 3 if gaussian else 1
+    total = Fraction(0)
+    for terms in by_odd.values():
+        for b1, d1 in terms:
+            for b2, d2 in terms:
+                total += d1 * d2 * fourth ** (b1 & b2).bit_count()
+    return total
+
+
+def exact_quartic_gap(poly) -> Fraction:
+    """|E[F(x)**4] - E[F(g)**4]| between uniform ±1 x and Gaussian g."""
+    return abs(exact_expectation(poly, "quartic", gaussian=False)
+               - exact_expectation(poly, "quartic", gaussian=True))

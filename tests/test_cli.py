@@ -363,6 +363,15 @@ def test_product_over_the_pair_cap_exits_1(capsys):
                             "exceeds the cap of 65536 term pairs\n")
 
 
+def test_expression_over_the_parse_pair_cap_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(funcdsl, "_MAX_PARSE_PAIRS", 7)
+    assert main(["analyze", "--f", "(1+x1)*(1+x2) + (1+x3)*(1+x4)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: exact products of the expression exceed "
+                            "the cap of 7 term pairs in all\n")
+
+
 @pytest.mark.parametrize("exc, detail", [
     (MemoryError("Unable to allocate 745. GiB for an array"),
      " (Unable to allocate 745. GiB for an array)"),

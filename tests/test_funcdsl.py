@@ -177,6 +177,45 @@ def test_parse_product_at_the_pair_cap_computes(monkeypatch):
         parse_poly("(1 + x1)*(1 + x2)*(1 + x3)")
 
 
+SUM_OF_PRODUCTS = "(1+x1)*(1+x2) + (1+x3)*(1+x4) + (1+x5)*(1+x6)"
+
+
+def test_parse_cap_counts_every_product_of_one_expression(monkeypatch):
+    # 4 term pairs per product, 12 in all
+    monkeypatch.setattr(funcdsl, "_MAX_PARSE_PAIRS", 12)
+    assert len(parse_poly(SUM_OF_PRODUCTS).coeffs) == 10
+    assert len(parse_poly(SUM_OF_PRODUCTS).coeffs) == 10  # no count carried over
+    monkeypatch.setattr(funcdsl, "_MAX_PARSE_PAIRS", 11)
+    real = funcdsl._convolve
+    convolved = []
+
+    def counting(a, b, out=None):
+        if out is None:  # a product (or a negation), not a sum
+            convolved.append(len(a) * len(b))
+        return real(a, b, out)
+
+    monkeypatch.setattr(funcdsl, "_convolve", counting)
+    with pytest.raises(ValueError) as err:
+        parse_poly(SUM_OF_PRODUCTS)
+    assert str(err.value) == (
+        "exact products of the expression exceed the cap of 11 term pairs in all")
+    assert sum(convolved) == 8  # refused before the third product ran
+
+
+def test_parse_cap_admits_the_canonical_text_of_a_dense_table(monkeypatch):
+    # a term of degree d is written with at most d one-pair products, so
+    # the text of a dense table needs at most n * 2**(n-1) pairs: 2**19
+    # at n = 16
+    assert 16 << 15 <= funcdsl._MAX_PARSE_PAIRS
+    n = 10
+    rng = np.random.default_rng(12)
+    poly = wht(TruthTable(n, rng.integers(-8, 9, 1 << n) / 4))
+    assert len(poly.coeffs) > 1000
+    monkeypatch.setattr(funcdsl, "_MAX_PARSE_PAIRS", n << (n - 1))
+    parsed = parse_poly(serialize_poly(poly), n)
+    assert {m: float(v) for m, v in parsed.coeffs.items()} == poly.coeffs
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_poly("")

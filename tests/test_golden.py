@@ -54,6 +54,12 @@ CASES = {
     "readme_lemmas": (
         ["lemmas", "--f", "1/8*(x1*x2 + x2*x3)", "--g", "1/8*(x1 + x2 + x3)"], 0),
     "readme_moments": (["moments", "--dist", "gaussian", "--samples", "100000"], 0),
+    "readme_moments_rademacher": (
+        ["moments", "--dist", "rademacher", "--samples", "100000", "--seed", "4"], 0),
+    # every sample is ±2, so the cubes and fourth powers pin the bits of
+    # numpy's pow on negative bases; an odd count leaves a partial tail
+    "readme_moments_pm2": (
+        ["moments", "--dist", "uniform_pm2", "--samples", "123457", "--seed", "7"], 0),
     # pretty output follows each report's key order; csv flattens lists
     "readme_moments_pretty": (
         ["moments", "--dist", "gaussian", "--samples", "100000",

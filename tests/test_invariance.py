@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compwiretap import (
@@ -37,7 +37,10 @@ from compwiretap import (
 from compwiretap import invariance
 from compwiretap.invariance import _counter_gaussians, _gaussian_chunk
 from helpers import (
+    PSI_POWERS,
     chain_pair_polys,
+    exact_expectation,
+    exact_quartic_gap,
     maj3_poly,
     random_boolean_table,
     random_rational_poly,
@@ -88,6 +91,27 @@ def test_moments_empirical_path():
 def test_moments_requires_enough_samples():
     with pytest.raises(ValueError):
         hypothesis_check(DISTRIBUTIONS["rademacher"], 5000)
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("samples", [10_000, 123_457])
+def test_moments_are_the_same_for_any_worker_count(monkeypatch, name, samples):
+    reports = []
+    for workers in (1, 2, 4):
+        use_workers(monkeypatch, workers)
+        # repr tells every float apart by its bits
+        reports.append(repr(hypothesis_check(DISTRIBUTIONS[name], samples,
+                                             seed=9).to_dict()))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_moments_on_one_core_start_no_thread(monkeypatch):
+    use_workers(monkeypatch, 1)
+    refuse_threads(monkeypatch)
+    hypothesis_check(DISTRIBUTIONS["gaussian"], 10_000)
+    use_workers(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="thread pool"):
+        hypothesis_check(DISTRIBUTIONS["gaussian"], 10_000)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +202,76 @@ def test_corollary_dominates_basic_on_low_influence():
         if eps == 0:
             continue
         assert corollary_bound(poly, 1.0, eps) >= basic_bound(poly, 1.0) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The bounds against the exact quartic gap
+# ---------------------------------------------------------------------------
+
+QUARTIC_C4 = PSI_CATALOG["quartic"].c4
+
+
+def test_exact_quartic_gap_examples():
+    assert exact_quartic_gap(parse_poly("x1")) == 2  # E g**4 = 3, E x**4 = 1
+    assert exact_quartic_gap(parse_poly("1/2*(x1 + x2 + x3 + x4)")) == Fraction(1, 2)
+    # (3 + y)**4 with y = x1*x2: 81 + 54 E y**2 + E y**4, E y**4 = 9 or 1
+    shifted = parse_poly("3 + x1*x2")
+    assert exact_expectation(shifted, "quartic", gaussian=True) == 144
+    assert exact_expectation(shifted, "quartic", gaussian=False) == 136
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, (1 << 32) - 1), n=st.integers(2, 6))
+def test_single_and_additive_bounds_cover_the_exact_quartic_gap(seed, n):
+    rng = np.random.default_rng(seed)
+    f = random_rational_poly(rng, n)  # variance < 1/4
+    g = random_rational_poly(rng, n)
+    gap = exact_quartic_gap(f)
+    assert basic_bound(f, QUARTIC_C4) >= gap
+    assert corollary_bound(f, QUARTIC_C4, max_influence(f)) >= gap
+    assert additive_bound(f, g, QUARTIC_C4) >= exact_quartic_gap(sub(f, g))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, (1 << 32) - 1), n=st.integers(1, 5))
+def test_multiplicative_bounds_cover_the_exact_quartic_gap(seed, n):
+    rng = np.random.default_rng(seed)
+    spec = WiretapSpec.from_tables(random_boolean_table(rng, n),
+                                   random_boolean_table(rng, n))
+    noise = mul(spec.f_poly, spec.g_poly)
+    gap = exact_quartic_gap(noise)
+    assert multiplicative_bound(spec, QUARTIC_C4) >= gap
+    # the deg(f*g) variant the CLI reports as the tighter valid bound
+    assert multiplicative_bound(spec, QUARTIC_C4, k=max(degree(noise), 1)) >= gap
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, (1 << 32) - 1), n=st.integers(1, 8),
+       psi=st.sampled_from(sorted(PSI_POWERS)))
+def test_expect_exact_is_the_exact_pm1_side(seed, n, psi):
+    poly = random_rational_poly(np.random.default_rng(seed), n, max_terms=12)
+    exact = float(exact_expectation(poly, psi, gaussian=False))
+    assert expect_exact(poly, psi) == pytest.approx(exact, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=120)
+@given(seed=st.integers(0, (1 << 32) - 1), n=st.integers(1, 6),
+       shift=st.sampled_from([0, 1, 3, 40]),
+       psi=st.sampled_from(["square", "quartic"]),
+       samples=st.sampled_from([4096, (1 << 16) + 4099]))
+def test_gaussian_mc_stderr_is_calibrated_against_the_exact_side(
+        seed, n, shift, psi, samples):
+    # degree at most 2: psi(F) of a degree-3 F is heavy-tailed enough
+    # that the z-score of a few thousand samples is skewed (see CHANGES)
+    rng = np.random.default_rng(seed)
+    poly = sub(random_rational_poly(rng, n, max_degree=2),
+               MultilinearPolynomial(n, {0: Fraction(shift)}))
+    exact = float(exact_expectation(poly, psi, gaussian=True))
+    estimate, stderr = expect_gaussian_mc(poly, psi, samples, seed=seed)
+    if degree(poly) == 0:  # no sampling error, only the sum's rounding
+        assert estimate == pytest.approx(exact, rel=1e-12)
+    else:
+        assert abs(estimate - exact) <= 5 * stderr
 
 
 # ---------------------------------------------------------------------------

@@ -108,15 +108,11 @@ print(json.dumps({"code": code, "counts": tracer.counts, "tree": tree,
 CHAIN20 = "1/20*(" + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 20)) + ")"
 
 
-def test_traced_counts_do_not_depend_on_worker_count():
-    # every wrapped call stays on the calling thread, where the tracer's
-    # one span stack can see it
+def traced_at_one_and_two_workers(argv) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")])
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    argv = ["invariance", "--f", CHAIN20, "--psi", "sin",
-            "--samples", "200000", "--seed", "3"]
     results = []
     for workers in (1, 2):
         done = subprocess.run(
@@ -124,8 +120,24 @@ def test_traced_counts_do_not_depend_on_worker_count():
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         results.append(json.loads(done.stdout))
-    one, two = results
+    return results
+
+
+def test_traced_counts_do_not_depend_on_worker_count():
+    # every wrapped call stays on the calling thread, where the tracer's
+    # one span stack can see it: Gaussian chunks and moment powers run
+    # on workers, and nothing wrapped runs there
+    one, two = traced_at_one_and_two_workers(
+        ["invariance", "--f", CHAIN20, "--psi", "sin",
+         "--samples", "200000", "--seed", "3"])
     assert one["code"] == two["code"] == 0
     assert one["threads"] == two["threads"] == 1
     assert one["counts"]["boolfn.evaluate_batch.term_rows"] == 19 * 200_000
+    assert one == two
+    one, two = traced_at_one_and_two_workers(
+        ["moments", "--dist", "gaussian", "--samples", "100000", "--seed", "3"])
+    assert one["code"] == two["code"] == 0
+    assert one["threads"] == two["threads"] == 1
+    assert one["tree"] == {"cli.main < None": 1,
+                           "invariance.hypothesis_check < cli.main": 1}
     assert one == two
