@@ -41,17 +41,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _looks_like_table(text: str) -> bool:
+    """A JSON object, or a first non-blank line that is a comment or holds
+    a comma (a CSV header or data row)."""
     stripped = text.lstrip()
+    if not stripped:
+        return False
     if stripped.startswith("{"):
         return True
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#") or line.lower().replace(" ", "") == "index,value":
-            return True
-        return "," in line
-    return False
+    # every line break is whitespace, so stripped starts the first
+    # non-blank line; the rest of the file is not split
+    line = stripped.partition("\n")[0].splitlines()[0].strip()
+    return line.startswith("#") or "," in line
 
 
 def _load_function(source: str, declared_n: int | None):
@@ -425,10 +425,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The command line, built once: ``parse_args`` only reads it, and fills
+#: a fresh namespace for each call.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

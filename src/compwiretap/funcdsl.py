@@ -311,9 +311,11 @@ _N_RE = re.compile(r"n\s*=\s*(\d+)")
 _PLAIN_ROW = rf"\d{{1,18}},[+-]?{_DECIMAL}(?:[eE][+-]?\d{{1,3}})?"
 #: The first line that begins with a digit: where plain data rows start.
 _FIRST_ROW_RE = re.compile(r"^[ \t]*\d", re.ASCII | re.MULTILINE)
-#: Plain data rows, one to a line, with blank lines allowed between.
+#: Plain data rows, one to a line, with blank lines allowed between.  A
+#: row holds no line break, so no match gives a row back: the possessive
+#: repeat keeps no backtracking state per row, and the match is linear.
 _PLAIN_ROWS_RE = re.compile(
-    rf"[ \t]*{_PLAIN_ROW}(?:[ \t]*[\n\r\v\f]\s*{_PLAIN_ROW})*\s*", re.ASCII)
+    rf"[ \t]*{_PLAIN_ROW}(?:[ \t]*[\n\r\v\f]\s*{_PLAIN_ROW})*+\s*", re.ASCII)
 
 
 def _parse_first_field(field: str, n: int, lineno: int) -> int:
@@ -412,8 +414,8 @@ def _parse_plain_rows(text: str) -> TruthTable | None:
         return None
     fields = body.replace(",", " ").split()
     n = _table_n(n, len(fields) // 2)
-    index = np.array(list(map(int, fields[0::2])), dtype=np.int64)
-    values = np.array(list(map(float, fields[1::2])))
+    index = np.array(fields[0::2], dtype=np.int64)
+    values = np.array(fields[1::2], dtype=np.float64)
     if (index.max() >= 1 << n or not np.all(np.bincount(index) == 1)
             or not np.all(np.isfinite(values))):
         return None

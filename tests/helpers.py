@@ -343,6 +343,29 @@ def reference_parse_table_csv(text: str) -> np.ndarray:
     return values
 
 
+#: The plain-rows pattern with a backtracking repeat, which keeps state
+#: for every row; the package's possessive repeat must accept the same
+#: bodies.
+_REFERENCE_ROW = r"\d{1,18},[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d{1,3})?"
+REFERENCE_PLAIN_ROWS_RE = re.compile(
+    rf"[ \t]*{_REFERENCE_ROW}(?:[ \t]*[\n\r\v\f]\s*{_REFERENCE_ROW})*\s*",
+    re.ASCII)
+
+
+def reference_looks_like_table(text: str) -> bool:
+    """Whether a ``@file`` source is a table, from every line of the file."""
+    if text.lstrip().startswith("{"):
+        return True
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#") or line.lower().replace(" ", "") == "index,value":
+            return True
+        return "," in line
+    return False
+
+
 def reference_coeff_text(mag) -> str:
     """Coefficient string of a magnitude, formatted from scratch: an
     exact fraction when it is a Fraction or its ratio fits in 2**53, the

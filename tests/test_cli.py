@@ -1,12 +1,20 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from compwiretap import boolfn, channels, funcdsl, invariance
+from compwiretap import boolfn, channels, cli, funcdsl, invariance
 from compwiretap.cli import main
-from helpers import PRODUCT_20
+from helpers import PRODUCT_20, reference_looks_like_table
+
+GOLDEN = Path(__file__).parent / "golden"
 
 MAJ3 = "1/2*(x1 + x2 + x3 - x1*x2*x3)"
 ZCHAN_F = "x1*x2*x3"
@@ -331,6 +339,13 @@ def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
+@given(st.lists(st.sampled_from(
+    ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028", " ", "\t",
+     "#", ",", "{", "x1", "0", "index", "value", "n=2"]), max_size=12).map("".join))
+def test_looks_like_table_reads_the_first_non_blank_line_property(text):
+    assert cli._looks_like_table(text) == reference_looks_like_table(text)
+
+
 def test_table_n_mismatch_exits_1(tmp_path, capsys):
     path = tmp_path / "t.csv"
     path.write_text("# n=1\nindex,value\n0,1\n1,-1\n")
@@ -499,3 +514,59 @@ def test_mixed_n_functions_lift(capsys):
     assert code == 0
     assert report["n"] == 2
     assert report["success_probability"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_answers_without_building_a_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("parser built per answer")
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert main(["analyze", "--f", MAJ3]) == 0
+    expected = (GOLDEN / "readme_analyze.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_answers_in_one_process_match_fresh_processes(capsys):
+    # each answer in turn in this process, against the same request in a
+    # process of its own: no flag or default carries over to the next
+    requests = [
+        ["invariance", "--f", MAJ3, "--samples", "10000", "--seed", "5", "--z", "9"],
+        ["invariance", "--f", MAJ3, "--samples", "10000"],
+        ["analyze", "--f", MAJ3],
+        ["moments", "--dist", "gaussian", "--samples", "10000"],
+        ["commute", "--f", ZCHAN_F],
+        ["commute", "--f", ZCHAN_F, "--g", ZCHAN_G],
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    answers = []
+    for argv in requests:
+        code = main(argv)
+        captured = capsys.readouterr()
+        answers.append((code, captured.out, captured.err))
+        fresh = subprocess.run([sys.executable, "-m", "compwiretap.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert answers[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in answers] == [0, 0, 0, 0, 1, 0]
+    first, second = (json.loads(out) for _, out, _ in answers[:2])
+    assert (first["seed"], first["z"]) == (5, 9.0)
+    assert (second["seed"], second["z"]) == (0, 4.0)
+
+
+HELP_COMMANDS = ["", "analyze", "channel", "commute", "invariance", "lemmas",
+                 "moments"]
+
+
+@pytest.mark.parametrize("columns", [80, 132])
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_matches_golden(command, columns, monkeypatch, capsys):
+    # help is laid out when asked for, at the width of that moment
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    name = f"help_{command or 'top'}_{columns}.out"
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
