@@ -24,6 +24,7 @@ order, so float sums have the bits of a plain loop over the terms.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
 from contextlib import nullcontext
@@ -289,9 +290,7 @@ def _pool(tasks: int) -> tuple:
     workers = max(1, min(cores, _MAX_WORKERS, tasks))
     if workers == 1:
         return 1, nullcontext()
-    # imported here, so a process that never needs a pool never loads it
-    from concurrent.futures import ThreadPoolExecutor
-    return workers, ThreadPoolExecutor(workers)
+    return workers, concurrent.futures.ThreadPoolExecutor(workers)
 
 
 #: Points per cache block of the butterfly: 2**16 doubles (512 KiB) plus

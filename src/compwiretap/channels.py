@@ -132,14 +132,21 @@ def _merge_values(values: np.ndarray):
     return tuple(float(r) for r in reps), cluster_of_uniq[inverse]
 
 
-def _histogram(rows: np.ndarray, cols: np.ndarray):
-    """Merged alphabets of two value arrays on the same uniform points, and
-    their joint: each count over the 2**n points, exact up to 2**53."""
+def _cells(rows: np.ndarray, cols: np.ndarray):
+    """Both merged alphabets, and each point's row-major (row, col) cell in
+    the narrowest unsigned type: a stable sort radix-sorts up to 16 bits."""
     row_values, row_labels = _merge_values(rows)
     col_values, col_labels = _merge_values(cols)
+    cells = row_labels * len(col_values) + col_labels
+    return row_values, col_values, cells.astype(np.min_scalar_type(cells.max()))
+
+
+def _histogram(rows: np.ndarray, cols: np.ndarray):
+    """Merged alphabets and joint of two value arrays on the uniform
+    points: each count over the 2**n points, exact up to 2**53."""
+    row_values, col_values, cells = _cells(rows, cols)
     shape = (len(row_values), len(col_values))
-    counts = np.bincount(row_labels * shape[1] + col_labels,
-                         minlength=shape[0] * shape[1])
+    counts = np.bincount(cells, minlength=shape[0] * shape[1])
     return row_values, col_values, counts.reshape(shape) / rows.size
 
 
@@ -283,24 +290,18 @@ def eve_success_probability(joint: JointDistribution) -> float:
 def commutes(spec: WiretapSpec) -> CommutesReport:
     """True iff f(x) = f(x') always forces g(x) = g(x').
 
-    Checked by grouping points by (merged) f-value; a failing pair of
-    points is returned as the witness.
+    Otherwise the witness is the first point of the smallest and of the
+    largest g-value at the smallest f-value that meets two g-values.
     """
-    _, u_labels = _merge_values(spec.g_table.values)
-    _, v_labels = _merge_values(spec.f_table.values)
-    order = np.argsort(v_labels, kind="stable")
-    vs = v_labels[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(vs) != 0])
-    ends = np.r_[starts[1:], len(vs)]
-    for s, e in zip(starts, ends):
-        fiber = order[s:e]
-        us = u_labels[fiber]
-        if us.min() != us.max():
-            i0 = int(fiber[np.argmin(us)])
-            i1 = int(fiber[np.argmax(us)])
-            witness = (index_to_point(i0, spec.n), index_to_point(i1, spec.n))
-            return CommutesReport(False, witness)
-    return CommutesReport(True)
+    _, g_values, cells = _cells(spec.f_table.values, spec.g_table.values)
+    present, first = np.unique(cells, return_index=True)
+    f_labels = present // len(g_values)
+    clash = np.flatnonzero(f_labels[1:] == f_labels[:-1])
+    if not clash.size:
+        return CommutesReport(True)
+    last = np.searchsorted(f_labels, f_labels[clash[0]], side="right") - 1
+    return CommutesReport(False, tuple(
+        index_to_point(int(first[i]), spec.n) for i in (clash[0], last)))
 
 
 def additive_noise(spec: WiretapSpec) -> NoiseModel:
@@ -326,7 +327,8 @@ def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
 
     Values within the Boolean tolerance are canonicalized to exact ±1
     before the distributions and the binary-asymmetric-channel
-    parameters are computed, so the reconstruction identity is exact.
+    parameters are computed.  Then g * N = f holds exactly for ±1 floats,
+    so ``reconstruction_max_error`` keeps its default of 0.0.
     """
     if not is_boolean_valued(spec.f_table):
         raise PreconditionError("multiplicative noise requires ±1-valued f")
@@ -343,7 +345,6 @@ def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
             return None
         return float(np.mean(noise[mask] == -1.0))
 
-    recon = float(np.max(np.abs(g_sign * noise - f_sign)))
     return NoiseModel(
         kind="multiplicative",
         noise_values=noise_values,
@@ -353,5 +354,4 @@ def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
         poly=mul(spec.f_poly, spec.g_poly),
         flip_one_to_minus=flip_prob(-1.0),
         flip_minus_to_one=flip_prob(+1.0),
-        reconstruction_max_error=recon,
     )

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -145,8 +144,9 @@ class _Terms:
     def json(self) -> str:
         if not self.masks.size:
             return "[]"
-        # per entry of texts, its float repr and its escaped exact text; a
-        # text with a point or an exponent is already its float's repr
+        # per entry of texts, its float repr; a text with a point or an
+        # exponent is already its float's repr.  An exact text holds only
+        # digits, "/", ".", "e", "+" and "-", so JSON needs no escapes.
         texts = self.texts.tolist()
         mags = np.empty(len(texts))
         mags[self.which] = np.abs(self.floats)
@@ -156,8 +156,7 @@ class _Terms:
             dtype=object)[self.which]
         sign = np.signbit(self.floats)
         coefficients[sign] = "-" + coefficients[sign]
-        exact = np.array([_escape(text)[1:-1] for text in texts],
-                         dtype=object)[self.which]
+        exact = self.texts[self.which]
         exact[self.negative] = "-" + exact[self.negative]
         # only the constant term, first in canonical order, has no lines
         variables = [f"[{lines[1:]}\n      ]" if lines else "[]" for lines in
@@ -258,8 +257,7 @@ def _cmd_invariance(args):
                     "the k = deg(f)*deg(g) exponent makes the literal bound "
                     f"{bound / variant:.6g}x larger than the deg(f*g) "
                     "variant; the variant is the tighter valid bound")
-        bounds_info["eps"] = float(
-            max(boolfn.max_influence(f_poly), boolfn.max_influence(g_poly)))
+        bounds_info["eps"] = float(invariance.pair_epsilon(f_poly, g_poly))
 
     psi = invariance.TestFunction(tf.name, tf.fn, c4)
     result = invariance.verify_invariance(

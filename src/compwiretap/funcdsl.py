@@ -33,11 +33,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
 from .boolfn import (MAX_N, MultilinearPolynomial, TruthTable, _check_exact_pairs,
-                     _convolve, point_to_index)
+                     _check_n, _convolve, point_to_index)
 
 
 class ParseError(ValueError):
@@ -146,6 +147,7 @@ class _Parser:
         if kind == "var":
             if value < 1:
                 raise ParseError("variable index must be at least 1", pos)
+            _check_n(value)  # before the shift builds a value-bit integer
             self.max_var = max(self.max_var, value)
             return {1 << (value - 1): Fraction(1)}
         if kind == "(":
@@ -191,9 +193,11 @@ def parse_poly(text: str, declared_n: int | None = None) -> MultilinearPolynomia
 
 def _coeff_string(value) -> str:
     """Exact fraction when representable, decimal repr otherwise."""
-    # A float gives its exact ratio itself; numpy integers have no
-    # as_integer_ratio, so other reals go through Fraction.
-    exact = value if isinstance(value, float) else Fraction(value)
+    exact = value  # a float gives its exact ratio itself
+    if not isinstance(value, float):
+        # numpy integers have no as_integer_ratio, so rationals go through
+        # Fraction; any other real, such as a numpy float32, through float
+        exact = Fraction(value) if isinstance(value, Rational) else float(value)
     num, den = exact.as_integer_ratio()
     if not isinstance(value, Fraction) and (abs(num) > 2**53 or den > 2**53):
         return repr(float(value))
@@ -389,6 +393,8 @@ def _table_n(n: int | None, count: int) -> int:
             raise ParseError(
                 f"no 'n=' header and row count {count} is not a power of two")
         n = count.bit_length() - 1
+    elif n > MAX_N:
+        _check_n(n)  # before 1 << n builds an n-bit integer
     if count != (1 << n):
         raise ParseError(f"expected {1 << n} rows for n={n}, found {count}")
     return n
@@ -454,6 +460,7 @@ def _parse_table_json(text: str) -> TruthTable:
     values = obj["values"]
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"'n' must be a positive integer, got {n!r}")
+    _check_n(n)  # before 1 << n builds an n-bit integer
     if not isinstance(values, list) or len(values) != (1 << n):
         raise ParseError(
             f"'values' must list all {1 << n} entries for n={n}")

@@ -40,7 +40,7 @@ from .boolfn import (
     _pool,
     degree,
     evaluate_batch,
-    influence_spectral,
+    influence_profile,
     inverse_wht,
     is_boolean_valued,
     max_influence,
@@ -62,6 +62,11 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(float(x))
 
 
+def _check_c4(c4):
+    if not (c4 >= 0 and math.isfinite(c4)):
+        raise ValueError(f"C must be finite and >= 0, got {c4!r}")
+
+
 # ---------------------------------------------------------------------------
 # Test functions and input distributions
 # ---------------------------------------------------------------------------
@@ -75,8 +80,8 @@ class TestFunction:
     c4: float | None  # None for a bare callable: no known bound
 
     def __post_init__(self):
-        if self.c4 is not None and not (self.c4 >= 0 and math.isfinite(self.c4)):
-            raise ValueError(f"c4 must be finite and >= 0, got {self.c4!r}")
+        if self.c4 is not None:
+            _check_c4(self.c4)
 
 
 def _quartic(t) -> np.ndarray:
@@ -226,31 +231,24 @@ def hypothesis_check(dist: InputDistribution, samples: int = 100_000,
 # Bounds
 # ---------------------------------------------------------------------------
 
-def _check_c4(c4):
-    if not (c4 >= 0 and math.isfinite(c4)):
-        raise ValueError(f"C must be finite and >= 0, got {c4!r}")
-
-
 def basic_bound(poly: MultilinearPolynomial, c4) -> float:
     """(C/12) * 9**k * sum_t Inf_t[F]**2 with k = degree(F)."""
     _check_c4(c4)
     k = degree(poly)
-    infl_sq = sum(
-        (_frac(influence_spectral(poly, t)) ** 2
-         for t in range(1, poly.n + 1)),
-        start=Fraction(0))
+    influences = influence_profile(poly).influences
+    infl_sq = sum((_frac(inf) ** 2 for inf in influences), start=Fraction(0))
     return float(_frac(c4) * Fraction(9 ** k, 12) * infl_sq)
 
 
 def corollary_bound(poly: MultilinearPolynomial, c4, eps) -> float:
     """(C/12) * k * 9**k * eps, requiring Var[F] <= 1 and all Inf_t <= eps."""
     _check_c4(c4)
-    var = variance(poly)
-    if float(var) > 1.0 + 1e-12:
-        raise PreconditionError(f"Var[F] = {float(var)} exceeds 1")
+    profile = influence_profile(poly)
+    if float(profile.variance) > 1.0 + 1e-12:
+        raise PreconditionError(f"Var[F] = {float(profile.variance)} exceeds 1")
     eps_f = _frac(eps)
-    for t in range(1, poly.n + 1):
-        inf_t = _frac(influence_spectral(poly, t))
+    for t, inf in enumerate(profile.influences, start=1):
+        inf_t = _frac(inf)
         if inf_t > eps_f + Fraction(1, 10 ** 12):
             raise PreconditionError(
                 f"Inf_{t}[F] = {float(inf_t)} exceeds eps = {float(eps_f)}")
@@ -258,7 +256,8 @@ def corollary_bound(poly: MultilinearPolynomial, c4, eps) -> float:
     return float(_frac(c4) * Fraction(k * 9 ** k, 12) * eps_f)
 
 
-def _pair_epsilon(f: MultilinearPolynomial, g: MultilinearPolynomial) -> Fraction:
+def pair_epsilon(f: MultilinearPolynomial, g: MultilinearPolynomial) -> Fraction:
+    """eps of the pair bounds: the largest coordinate influence of f and g."""
     return max(_frac(max_influence(f)), _frac(max_influence(g)))
 
 
@@ -285,7 +284,7 @@ def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
         if var > 0.25 + _VAR_QUARTER_TOL:
             raise PreconditionError(f"Var[{name}] = {var} exceeds 1/4")
     k = pair_degree(f, g)
-    eps = _pair_epsilon(f, g)
+    eps = pair_epsilon(f, g)
     return float(_frac(c4) * Fraction(k * 9 ** k, 3) * eps)
 
 
@@ -308,7 +307,7 @@ def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
     if k is None:
         k = pair_degree(f, g)
     l = term_count(f) * term_count(g)
-    eps = _pair_epsilon(f, g)
+    eps = pair_epsilon(f, g)
     return float(_frac(c4) * Fraction(k * l * 9 ** k, 3) * eps)
 
 
@@ -362,9 +361,7 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= scratch
 
 
-#: The top 53-bit counter, and the largest double below 1.0, where its
-#: midpoint goes.
-_TOP_COUNTER = np.uint64((1 << 53) - 1)
+#: The largest double below 1.0, where the top counter's midpoint goes.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -374,14 +371,11 @@ def _counter_gaussians(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     A counter ``k`` maps to the midpoint ``(k + 0.5) * 2**-53`` of its
     interval.  For ``k = 2**53 - 1`` that midpoint rounds to 1.0, whose
     quantile is infinite, so it is clamped to the largest double below 1.
-    Every other midpoint is below that double and does not move.  The
-    clamp runs only on a block that holds the top counter, since one
-    integer ``max`` costs far less than a float ``minimum`` on every value.
+    Every other midpoint is below that double and does not move.
     """
     np.add(z, 0.5, out=out)
     out *= 2.0 ** -53
-    if z.max() == _TOP_COUNTER:
-        np.minimum(out, _BELOW_ONE, out=out)
+    np.minimum(out, _BELOW_ONE, out=out)
     return ndtri(out, out=out)
 
 
@@ -607,7 +601,7 @@ def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:
     raising; the ±1 precondition is read from the spec's tables.
     """
     f, g = spec.f_poly, spec.g_poly
-    eps = float(_pair_epsilon(f, g))
+    eps = float(pair_epsilon(f, g))
     checks = []
 
     diff = sub(f, g)

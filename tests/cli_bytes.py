@@ -1,0 +1,100 @@
+"""Compare the CLI answers of two source trees, request by request.
+
+    python tests/cli_bytes.py OLD_SRC NEW_SRC --seed S
+
+OLD_SRC and NEW_SRC are ``src`` directories, each holding a
+``compwiretap`` package.  The script builds the requests of both
+benchmark workloads at seed S with ``perfbench/workloads.py``, writing
+their table files into a temporary directory.  It answers every request
+once through ``compwiretap.cli.main`` with each tree, each tree in a
+fresh process, and compares per request the exit code, the length and
+sha256 of stdout, and stderr.  It prints every difference and exits 1
+if there is one, 0 otherwise.  Sampled requests get the seed the
+benchmark's first pass gives them.
+
+No process writes bytecode, so nothing is left under ``perfbench/`` or
+either tree.  This is a script, not a collected test: a refactor that
+must keep every byte runs it against the parent commit's tree.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# importing perfbench's modules must leave no __pycache__ there
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
+# Run in a fresh interpreter with argv [tree, requests.json]: prints, per
+# request, [exit code, stdout length in bytes, stdout sha256, stderr].
+ANSWER = """
+import contextlib, hashlib, io, json, sys
+tree, path = sys.argv[1:]
+sys.path.insert(0, tree)
+import compwiretap.cli as cli
+if not cli.__file__.startswith(tree):
+    raise SystemExit(f"compwiretap imported from {cli.__file__}, not {tree}")
+answers = []
+for argv in json.load(open(path, encoding="utf-8")):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = None
+            print(f"raised {exc!r}", file=sys.stderr)
+    data = out.getvalue().encode("utf-8")
+    answers.append([code, len(data), hashlib.sha256(data).hexdigest(),
+                    err.getvalue()])
+json.dump(answers, sys.stdout)
+"""
+
+FIELDS = ("exit code", "stdout length", "stdout sha256", "stderr")
+
+
+def answers(tree: str, requests_path: str) -> list:
+    run = subprocess.run([sys.executable, "-B", "-c", ANSWER, tree, requests_path],
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    trees = [os.path.abspath(tree) for tree in (args.old_src, args.new_src)]
+
+    differences = total = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in workloads.WORKLOADS:
+            directory = os.path.join(tmp, name)
+            os.mkdir(directory)
+            requests = workloads.build(name, args.seed, directory)
+            argvs = [workloads.argv_for(request, args.seed, 0, index)
+                     for index, request in enumerate(requests)]
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(argvs, handle)
+            old, new = (answers(tree, path) for tree in trees)
+            for index, (argv, a, b) in enumerate(zip(argvs, old, new)):
+                for field, x, y in zip(FIELDS, a, b):
+                    if x != y:
+                        differences += 1
+                        print(f"{name}[{index}] {argv[0]}: {field} differs: "
+                              f"{x!r} != {y!r}")
+            total += len(argvs)
+            print(f"{name}: {len(argvs)} requests answered by both trees")
+    print(f"{differences} differences in {total} requests")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -190,6 +190,38 @@ def brute_commutes(f_values, g_values) -> bool:
     return all(len(us) == 1 for us in fibers.values())
 
 
+def brute_merge_labels(values, tol: float = 1e-9) -> list:
+    """Each value's symbol: the distinct values in ascending order, a new
+    symbol wherever the gap to the previous one exceeds ``tol``."""
+    distinct = sorted(set(values))
+    symbol, labels = 0, {}
+    for previous, value in zip([None, *distinct], distinct):
+        if previous is not None and value - previous > tol:
+            symbol += 1
+        labels[value] = symbol
+    return [labels[value] for value in values]
+
+
+def brute_commutes_witness(f_values, g_values, n: int) -> tuple:
+    """``(commutes, witness)`` over the merged symbols of f and g.
+
+    The f-symbols are walked in ascending order; the first that meets two
+    g-symbols gives the witness: the first point of its smallest g-symbol
+    and the first point of its largest.
+    """
+    f_labels = brute_merge_labels(f_values)
+    g_labels = brute_merge_labels(g_values)
+    for symbol in sorted(set(f_labels)):
+        fiber = [i for i, label in enumerate(f_labels) if label == symbol]
+        us = [g_labels[i] for i in fiber]
+        if min(us) != max(us):
+            first = fiber[us.index(min(us))]
+            last = fiber[us.index(max(us))]
+            points = list(all_points(n))
+            return False, (points[first], points[last])
+    return True, None
+
+
 def reference_butterfly(a: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard butterfly as a plain loop over levels, in place.
 

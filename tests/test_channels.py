@@ -20,9 +20,11 @@ from compwiretap import (
     parse_poly,
     posterior_channel,
 )
+from compwiretap.boolfn import BOOLEAN_TOL
 from compwiretap.channels import VALUE_MERGE_TOL, _merge_values
 from helpers import (
     brute_commutes,
+    brute_commutes_witness,
     brute_joint,
     brute_success_probability,
     chain_pair_polys,
@@ -349,6 +351,19 @@ def test_reconstruction_identities_random():
         assert multiplicative_noise(spec).reconstruction_max_error == 0.0
 
 
+def test_multiplicative_reconstruction_exact_near_boolean():
+    # values within BOOLEAN_TOL of ±1 still decompose exactly: the signs
+    # are canonicalized before N is formed
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        f, g = (random_boolean_table(rng, n).values
+                * (1 + rng.uniform(-BOOLEAN_TOL, BOOLEAN_TOL, 1 << n))
+                for _ in range(2))
+        nm = multiplicative_noise(spec_from_tables(f, g, n))
+        assert nm.reconstruction_max_error == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Spec construction
 # ---------------------------------------------------------------------------
@@ -428,3 +443,29 @@ def test_joint_views_match_enumeration(pair):
         x0, x1 = (eval_poly_at(spec.f_poly.coeffs, x) for x in report.witness)
         y0, y1 = (eval_poly_at(spec.g_poly.coeffs, x) for x in report.witness)
         assert abs(x0 - x1) <= 1e-9 and abs(y0 - y1) > 1e-9
+
+
+@st.composite
+def _fibered_pairs(draw):
+    """f and g at n <= 5 over a few well-separated values, each value
+    possibly moved by up to 1e-10 so that it must merge back; g is either
+    drawn freely or as a function of f's value (a commuting pair)."""
+    n = draw(st.integers(1, 5))
+    size = 1 << n
+    base = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+    dust = st.sampled_from([0.0, 0.0, 4e-11, -6e-11, 1e-10])
+    f_base = draw(st.lists(base, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        image = draw(st.fixed_dictionaries({v: base for v in set(f_base)}))
+        g_base = [image[v] for v in f_base]
+    else:
+        g_base = draw(st.lists(base, min_size=size, max_size=size))
+    f, g = ([v + draw(dust) for v in values] for values in (f_base, g_base))
+    return n, f, g
+
+
+@given(_fibered_pairs())
+def test_commutes_matches_brute_force_witness(pair):
+    n, f, g = pair
+    report = commutes(spec_from_tables(f, g, n))
+    assert (report.commutes, report.witness) == brute_commutes_witness(f, g, n)

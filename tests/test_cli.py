@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -376,6 +377,29 @@ def test_product_over_the_pair_cap_exits_1(capsys):
     assert captured.out == ""
     assert captured.err == ("error: exact product of 1024 by 1024 terms "
                             "exceeds the cap of 65536 term pairs\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("expression", "x1000000000"),
+    ("table.json", '{"n": 1000000000, "values": [1, -1]}'),
+    ("table.csv", "# n=1000000000\nindex,value\n0,1\n1,-1\n"),
+])
+def test_n_over_the_cap_fails_before_any_allocation(tmp_path, capsys, name, text):
+    # 1 << 10**9 alone would be a 125 MB integer
+    source = text
+    if name != "expression":
+        (tmp_path / name).write_text(text)
+        source = f"@{tmp_path / name}"
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--f", source])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == (
+        "error: n = 1000000000 exceeds the dense enumeration cap of 24\n")
 
 
 def test_expression_over_the_parse_pair_cap_exits_1(monkeypatch, capsys):

@@ -368,6 +368,12 @@ def test_serialize_exponent_floats_parse_back(value):
     assert float(parse_poly(text).coeffs[1]) == value
 
 
+@pytest.mark.parametrize("kind", [np.float32, np.float16])
+def test_serialize_numpy_float_coefficients(kind):
+    poly = MultilinearPolynomial(2, {1: kind(0.5), 3: kind(-0.25)})
+    assert serialize_poly(poly) == "1/2*x1 - 1/4*x1*x2"
+
+
 def test_parse_decimal_exponent():
     assert parse_poly("2E3 + .5e-1*x2").coeffs == {0: 2000, 2: Fraction(1, 20)}
     with pytest.raises(ParseError, match="exponent"):

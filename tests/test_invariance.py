@@ -14,6 +14,7 @@ from compwiretap import (
     InputDistribution,
     MultilinearPolynomial,
     PreconditionError,
+    TruthTable,
     WiretapSpec,
     additive_bound,
     basic_bound,
@@ -34,7 +35,7 @@ from compwiretap import (
     verify_invariance_many,
     wht,
 )
-from compwiretap import invariance
+from compwiretap import influence_spectral, invariance
 from compwiretap.invariance import _counter_gaussians, _gaussian_chunk
 from helpers import (
     PSI_POWERS,
@@ -191,6 +192,42 @@ def test_multiplicative_bound_trivial_cases():
             WiretapSpec.from_polys(x1, parse_poly("1/2*x1")), 1.0)
     with pytest.raises(ValueError):
         multiplicative_bound(WiretapSpec.from_polys(x1, x1), 1.0, k=0)
+
+
+def _float_or_exact_poly(rng, n):
+    """A sparse exact polynomial, or the float spectrum of a dense table
+    with values k/8, |k| <= 4."""
+    if rng.integers(2):
+        return random_rational_poly(rng, n)
+    return wht(TruthTable(n, rng.integers(-4, 5, 1 << n) / 8.0))
+
+
+@given(seed=st.integers(0, (1 << 32) - 1), n=st.integers(1, 7))
+def test_pair_epsilon_has_the_bits_of_the_larger_max_influence(seed, n):
+    rng = np.random.default_rng(seed)
+    f, g = (_float_or_exact_poly(rng, n) for _ in range(2))
+    got = float(invariance.pair_epsilon(f, g))
+    assert got.hex() == float(max(max_influence(f), max_influence(g))).hex()
+
+
+@given(seed=st.integers(0, (1 << 32) - 1), n=st.integers(1, 7))
+def test_single_bounds_have_the_bits_of_per_coordinate_influences(seed, n):
+    rng = np.random.default_rng(seed)
+    poly = _float_or_exact_poly(rng, n)
+    infl = [Fraction(influence_spectral(poly, t)) for t in range(1, n + 1)]
+    k = degree(poly)
+    basic = float(Fraction(3) * Fraction(9 ** k, 12) * sum(i * i for i in infl))
+    assert basic_bound(poly, 3.0).hex() == basic.hex()
+    if float(variance(poly)) <= 1.0:
+        eps = max(infl)
+        expected = float(Fraction(3) * Fraction(k * 9 ** k, 12) * eps)
+        assert corollary_bound(poly, 3.0, eps).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("c4", [-1.0, math.inf, math.nan])
+def test_test_function_checks_c4_as_the_bounds_check_c(c4):
+    with pytest.raises(ValueError, match=r"^C must be finite and >= 0, got "):
+        invariance.TestFunction("psi", np.cos, c4)
 
 
 def test_corollary_dominates_basic_on_low_influence():

@@ -10,6 +10,7 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -69,3 +70,18 @@ def test_exact_value_beyond_float_range_raises_overflow():
     with pytest.raises(OverflowError):
         cli._Terms(MultilinearPolynomial(1, {1: 10**400}))
 
+
+
+def test_numpy_float_coefficients_render_as_their_floats():
+    poly = MultilinearPolynomial(2, {0: np.float16(-0.25), 1: np.float32(0.5),
+                                     3: np.float32(0.1)})
+    want = [
+        {"variables": [], "coefficient": -0.25, "exact": "-1/4"},
+        {"variables": [1], "coefficient": 0.5, "exact": "1/2"},
+        {"variables": [1, 2], "coefficient": float(np.float32(0.1)),
+         "exact": "13421773/134217728"},
+    ]
+    terms = cli._Terms(poly)
+    assert terms.expression() == "-1/4 + 1/2*x1 + 13421773/134217728*x1*x2"
+    for fmt in ("json", "pretty", "csv"):
+        assert rendered(poly, fmt, terms) == rendered(poly, fmt, want)
