@@ -133,12 +133,10 @@ def _merge_values(values: np.ndarray):
 
 
 def _cells(rows: np.ndarray, cols: np.ndarray):
-    """Both merged alphabets, and each point's row-major (row, col) cell in
-    the narrowest unsigned type: a stable sort radix-sorts up to 16 bits."""
+    """Both merged alphabets and each point's row-major (row, col) cell."""
     row_values, row_labels = _merge_values(rows)
     col_values, col_labels = _merge_values(cols)
-    cells = row_labels * len(col_values) + col_labels
-    return row_values, col_values, cells.astype(np.min_scalar_type(cells.max()))
+    return row_values, col_values, row_labels * len(col_values) + col_labels
 
 
 def _histogram(rows: np.ndarray, cols: np.ndarray):
@@ -293,15 +291,15 @@ def commutes(spec: WiretapSpec) -> CommutesReport:
     Otherwise the witness is the first point of the smallest and of the
     largest g-value at the smallest f-value that meets two g-values.
     """
-    _, g_values, cells = _cells(spec.f_table.values, spec.g_table.values)
-    present, first = np.unique(cells, return_index=True)
-    f_labels = present // len(g_values)
-    clash = np.flatnonzero(f_labels[1:] == f_labels[:-1])
-    if not clash.size:
+    _, f_values, cells = _cells(spec.g_table.values, spec.f_table.values)
+    present = np.unique(cells)
+    f_labels = present % len(f_values)
+    clashing = np.bincount(f_labels) > 1
+    if not clashing.any():
         return CommutesReport(True)
-    last = np.searchsorted(f_labels, f_labels[clash[0]], side="right") - 1
+    at = present[f_labels == np.argmax(clashing)]  # g ascends: cells are (g, f)
     return CommutesReport(False, tuple(
-        index_to_point(int(first[i]), spec.n) for i in (clash[0], last)))
+        index_to_point(int(np.argmax(cells == c)), spec.n) for c in (at[0], at[-1])))
 
 
 def additive_noise(spec: WiretapSpec) -> NoiseModel:

@@ -193,11 +193,9 @@ def parse_poly(text: str, declared_n: int | None = None) -> MultilinearPolynomia
 
 def _coeff_string(value) -> str:
     """Exact fraction when representable, decimal repr otherwise."""
-    exact = value  # a float gives its exact ratio itself
-    if not isinstance(value, float):
-        # numpy integers have no as_integer_ratio, so rationals go through
-        # Fraction; any other real, such as a numpy float32, through float
-        exact = Fraction(value) if isinstance(value, Rational) else float(value)
+    # numpy integers have no as_integer_ratio, so rationals go through
+    # Fraction; any other real, such as a numpy float32, through float
+    exact = Fraction(value) if isinstance(value, Rational) else float(value)
     num, den = exact.as_integer_ratio()
     if not isinstance(value, Fraction) and (abs(num) > 2**53 or den > 2**53):
         return repr(float(value))

@@ -469,3 +469,13 @@ def test_commutes_matches_brute_force_witness(pair):
     n, f, g = pair
     report = commutes(spec_from_tables(f, g, n))
     assert (report.commutes, report.witness) == brute_commutes_witness(f, g, n)
+
+
+def test_commutes_reports_g_chain_before_f_chain():
+    # as the joint of (g, f) does, commutes merges g's values first, so
+    # when both tables chain, g's run is the one named
+    run = np.arange(2048) * 0.9e-9
+    spec = spec_from_tables(run, 5.0 + run, 11)
+    for check in (joint_distribution, commutes):
+        with pytest.raises(ValueError, match=r"values from 5\.0 to "):
+            check(spec)

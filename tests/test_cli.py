@@ -347,6 +347,19 @@ def test_looks_like_table_reads_the_first_non_blank_line_property(text):
     assert cli._looks_like_table(text) == reference_looks_like_table(text)
 
 
+def test_commute_names_g_chain_when_both_tables_chain(tmp_path, capsys):
+    # g's values merge first, as in the joint, so g's chained run is named
+    for name, start in (("f", 0.0), ("g", 5.0)):
+        rows = "".join(f"{i},{start + i * 0.9e-9!r}\n" for i in range(2048))
+        (tmp_path / f"{name}.csv").write_text("# n=11\nindex,value\n" + rows)
+    argv = ["commute", "--f", f"@{tmp_path / 'f.csv'}",
+            "--g", f"@{tmp_path / 'g.csv'}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: values from 5.0 to ")
+
+
 def test_table_n_mismatch_exits_1(tmp_path, capsys):
     path = tmp_path / "t.csv"
     path.write_text("# n=1\nindex,value\n0,1\n1,-1\n")
