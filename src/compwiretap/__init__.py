@@ -53,7 +53,7 @@ from .channels import (
     multiplicative_noise,
     posterior_channel,
 )
-from .funcdsl import ParseError, parse_poly, parse_table, serialize_poly, serialize_table
+from .funcdsl import ParseError, parse_poly, parse_table, serialize_poly
 from .invariance import (
     DISTRIBUTIONS,
     PSI_CATALOG,

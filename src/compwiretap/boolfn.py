@@ -91,19 +91,6 @@ class TruthTable:
         table._own(values)
         return table
 
-    @classmethod
-    def from_values(cls, values) -> "TruthTable":
-        """Build a table from a flat sequence, inferring n from its length."""
-        values = np.asarray(values, dtype=np.float64)
-        size = values.size
-        if size < 2 or size & (size - 1):
-            raise ValueError(f"table length {size} is not a power of two >= 2")
-        return cls(size.bit_length() - 1, values)
-
-    def point(self, index: int) -> tuple:
-        """The ±1 point encoded by ``index`` under the shared convention."""
-        return index_to_point(index, self.n)
-
     def __eq__(self, other):
         if not isinstance(other, TruthTable):
             return NotImplemented
@@ -519,8 +506,7 @@ def influence_spectral(poly: MultilinearPolynomial, t: int) -> Real:
     in term order."""
     if not 1 <= t <= poly.n:
         raise ValueError(f"coordinate t={t} out of range 1..{poly.n}")
-    bit = 1 << (t - 1)
-    return _fold((poly.values * poly.values)[poly.masks & bit != 0])
+    return _influences(poly)[t - 1]
 
 
 def _influences(poly: MultilinearPolynomial) -> tuple:

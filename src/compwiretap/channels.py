@@ -271,13 +271,10 @@ def posterior_channel(joint: JointDistribution) -> DiscreteChannel:
 
 def map_estimator(joint: JointDistribution) -> dict:
     """MAP rule v -> argmax_u Pr(u | v); ties break to the smallest u."""
-    estimate = {}
-    for j, v in enumerate(joint.v_values):
-        column = joint.probs[:, j]
-        # u_values are sorted ascending, and argmax returns the first
-        # maximum, so ties resolve toward the smallest u.
-        estimate[v] = joint.u_values[int(np.argmax(column))]
-    return estimate
+    # u_values are sorted ascending, and argmax returns each column's
+    # first maximum, so ties resolve toward the smallest u.
+    best = np.argmax(joint.probs, axis=0).tolist()
+    return {v: joint.u_values[i] for v, i in zip(joint.v_values, best)}
 
 
 def eve_success_probability(joint: JointDistribution) -> float:
@@ -302,22 +299,23 @@ def commutes(spec: WiretapSpec) -> CommutesReport:
         index_to_point(int(np.argmax(cells == c)), spec.n) for c in (at[0], at[-1])))
 
 
+def _noise_model(kind, u, noise, poly, **fields) -> NoiseModel:
+    """The ``kind`` model of ``noise`` against u = g(x), with ``fields``."""
+    u_values, noise_values, joint = _histogram(u, noise)
+    return NoiseModel(kind, noise_values,
+                      tuple(float(p) for p in joint.sum(axis=0)),
+                      u_values, joint, poly, **fields)
+
+
 def additive_noise(spec: WiretapSpec) -> NoiseModel:
     """Decompose v = u + N with N = f - g, distributions by enumeration."""
     f_vals = spec.f_table.values
     g_vals = spec.g_table.values
-    noise_raw = f_vals - g_vals
-    u_values, noise_values, joint = _histogram(g_vals, noise_raw)
-    recon = float(np.max(np.abs(g_vals + noise_raw - f_vals)))
-    return NoiseModel(
-        kind="additive",
-        noise_values=noise_values,
-        noise_probs=tuple(float(p) for p in joint.sum(axis=0)),
-        u_values=u_values,
-        joint_u_noise=joint,
-        poly=sub(spec.f_poly, spec.g_poly),
-        reconstruction_max_error=recon,
-    )
+    noise = f_vals - g_vals
+    recon = float(np.max(np.abs(g_vals + noise - f_vals)))
+    return _noise_model("additive", g_vals, noise,
+                        sub(spec.f_poly, spec.g_poly),
+                        reconstruction_max_error=recon)
 
 
 def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
@@ -335,7 +333,6 @@ def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
     f_sign = np.where(spec.f_table.values >= 0, 1.0, -1.0)
     g_sign = np.where(spec.g_table.values >= 0, 1.0, -1.0)
     noise = f_sign * g_sign  # exactly ±1
-    u_values, noise_values, joint = _histogram(g_sign, noise)
 
     def flip_prob(observed: float) -> float | None:
         mask = f_sign == observed  # uN = f is Eve's observation
@@ -343,13 +340,7 @@ def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
             return None
         return float(np.mean(noise[mask] == -1.0))
 
-    return NoiseModel(
-        kind="multiplicative",
-        noise_values=noise_values,
-        noise_probs=tuple(float(p) for p in joint.sum(axis=0)),
-        u_values=u_values,
-        joint_u_noise=joint,
-        poly=mul(spec.f_poly, spec.g_poly),
-        flip_one_to_minus=flip_prob(-1.0),
-        flip_minus_to_one=flip_prob(+1.0),
-    )
+    return _noise_model("multiplicative", g_sign, noise,
+                        mul(spec.f_poly, spec.g_poly),
+                        flip_one_to_minus=flip_prob(-1.0),
+                        flip_minus_to_one=flip_prob(+1.0))

@@ -259,9 +259,8 @@ def _cmd_invariance(args):
                     "variant; the variant is the tighter valid bound")
         bounds_info["eps"] = float(invariance.pair_epsilon(f_poly, g_poly))
 
-    psi = invariance.TestFunction(tf.name, tf.fn, c4)
     result = invariance.verify_invariance(
-        target, psi, bound, samples=args.samples, seed=args.seed, z=args.z)
+        target, tf, bound, samples=args.samples, seed=args.seed, z=args.z)
     report = {
         "mode": mode,
         "n": target.n,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -66,33 +67,44 @@ _TOKEN_RE = re.compile(rf"""
 """, re.VERBOSE)
 
 
+def _too_many_digits(what: str) -> str:
+    """The message for an integer longer than ``int`` converts from text."""
+    return f"{what} has more than {sys.get_int_max_str_digits()} digits"
+
+
 def _tokenize(text: str) -> list:
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "frac":
-            num, den = m.group().split("/")
-            if int(den) == 0:
-                raise ParseError("zero denominator in rational", pos)
-            tokens.append(("num", Fraction(int(num), int(den)), pos))
-        elif m.lastgroup == "num":
-            # a float's repr needs at most 3 exponent digits; a longer
-            # exponent would make the exact rational huge
-            if len(m.group("exp") or "") > 3:
-                raise ParseError("decimal exponent has more than 3 digits", pos)
-            tokens.append(("num", Fraction(m.group()), pos))
-        elif m.lastgroup == "var":
-            digits = m.group()[1:]
-            if digits[0] == "0":
-                raise ParseError(
-                    f"variable index must not start with 0: {m.group()!r}", pos)
-            tokens.append(("var", int(digits), pos))
-        elif m.lastgroup == "op":
-            tokens.append((m.group(), None, pos))
-        pos = m.end()
+    try:
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            if m.lastgroup == "frac":
+                num, den = m.group().split("/")
+                if int(den) == 0:
+                    raise ParseError("zero denominator in rational", pos)
+                tokens.append(("num", Fraction(int(num), int(den)), pos))
+            elif m.lastgroup == "num":
+                # a float's repr needs at most 3 exponent digits; a longer
+                # exponent would make the exact rational huge
+                if len(m.group("exp") or "") > 3:
+                    raise ParseError("decimal exponent has more than 3 digits", pos)
+                tokens.append(("num", Fraction(m.group()), pos))
+            elif m.lastgroup == "var":
+                digits = m.group()[1:]
+                if digits[0] == "0":
+                    raise ParseError(
+                        f"variable index must not start with 0: {m.group()!r}", pos)
+                tokens.append(("var", int(digits), pos))
+            elif m.lastgroup == "op":
+                tokens.append((m.group(), None, pos))
+            pos = m.end()
+    except ParseError:
+        raise
+    except ValueError:  # only int() of a digit string longer than it converts
+        what = "variable index" if m.lastgroup == "var" else "number"
+        raise ParseError(_too_many_digits(what), pos) from None
     return tokens
 
 
@@ -324,7 +336,11 @@ def _parse_first_field(field: str, n: int, lineno: int) -> int:
     """A row's first field: a table index, or an explicit ±1 point."""
     field = field.strip()
     if re.fullmatch(r"\d+", field):
-        index = int(field)
+        try:
+            index = int(field)
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: {_too_many_digits('index')}") from None
         if index >= (1 << n):
             raise ParseError(f"line {lineno}: index {index} out of range")
         return index
@@ -364,21 +380,24 @@ def _split_lines(lines) -> tuple:
     as ``(lineno, line)``; blank, comment and header lines are skipped."""
     n = None
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _N_RE.search(line)
-            if m:
-                n = int(m.group(1))
-            continue
-        if re.fullmatch(r"n\s*=\s*\d+", line):
-            n = int(_N_RE.search(line).group(1))
-            continue
-        if line.lower().replace(" ", "") == "index,value":
-            continue
-        rows.append((lineno, line))
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                m = _N_RE.search(line)
+                if m:
+                    n = int(m.group(1))
+                continue
+            if re.fullmatch(r"n\s*=\s*\d+", line):
+                n = int(_N_RE.search(line).group(1))
+                continue
+            if line.lower().replace(" ", "") == "index,value":
+                continue
+            rows.append((lineno, line))
+    except ValueError:  # only int() of a digit string longer than it converts
+        raise ParseError(f"line {lineno}: {_too_many_digits('n')}") from None
     return n, rows
 
 
@@ -452,6 +471,12 @@ def _parse_table_json(text: str) -> TruthTable:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON table: {exc}") from None
+    except ValueError:  # only int() of a digit string longer than it converts
+        # the literal: a digit run that long, with its sign, in no float
+        digits = sys.get_int_max_str_digits() + 1
+        m = re.search(rf"(?<![\w.+-])-?\d{{{digits},}}(?![\w.])", text)
+        raise ParseError(_too_many_digits("an integer"),
+                         m and m.start()) from None
     if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
         raise ParseError("JSON table must be an object with 'n' and 'values'")
     n = obj["n"]
@@ -473,15 +498,3 @@ def parse_table(text: str) -> TruthTable:
     if stripped.startswith("{"):
         return _parse_table_json(text)
     return _parse_table_csv(text)
-
-
-def serialize_table(table: TruthTable, fmt: str = "csv") -> str:
-    """Render a table in one of the two accepted file formats."""
-    if fmt == "json":
-        return json.dumps(
-            {"n": table.n, "values": [float(v) for v in table.values]})
-    if fmt == "csv":
-        lines = [f"# n={table.n}", "index,value"]
-        lines += [f"{i},{float(v)!r}" for i, v in enumerate(table.values)]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown table format {fmt!r}")

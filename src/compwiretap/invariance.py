@@ -62,9 +62,10 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(float(x))
 
 
-def _check_c4(c4):
-    if not (c4 >= 0 and math.isfinite(c4)):
-        raise ValueError(f"C must be finite and >= 0, got {c4!r}")
+def _check_finite(name: str, value):
+    """Refuse a NaN, an infinite or a negative C or z."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ class TestFunction:
 
     def __post_init__(self):
         if self.c4 is not None:
-            _check_c4(self.c4)
+            _check_finite("C", self.c4)
 
 
 def _quartic(t) -> np.ndarray:
@@ -233,7 +234,7 @@ def hypothesis_check(dist: InputDistribution, samples: int = 100_000,
 
 def basic_bound(poly: MultilinearPolynomial, c4) -> float:
     """(C/12) * 9**k * sum_t Inf_t[F]**2 with k = degree(F)."""
-    _check_c4(c4)
+    _check_finite("C", c4)
     k = degree(poly)
     influences = influence_profile(poly).influences
     infl_sq = sum((_frac(inf) ** 2 for inf in influences), start=Fraction(0))
@@ -242,7 +243,7 @@ def basic_bound(poly: MultilinearPolynomial, c4) -> float:
 
 def corollary_bound(poly: MultilinearPolynomial, c4, eps) -> float:
     """(C/12) * k * 9**k * eps, requiring Var[F] <= 1 and all Inf_t <= eps."""
-    _check_c4(c4)
+    _check_finite("C", c4)
     profile = influence_profile(poly)
     if float(profile.variance) > 1.0 + 1e-12:
         raise PreconditionError(f"Var[F] = {float(profile.variance)} exceeds 1")
@@ -278,7 +279,7 @@ def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
     coordinate influence over both functions, and k1, k2 are the degrees
     (taken as at least 1).
     """
-    _check_c4(c4)
+    _check_finite("C", c4)
     for name, poly in (("f", f), ("g", g)):
         var = float(variance(poly))
         if var > 0.25 + _VAR_QUARTER_TOL:
@@ -297,7 +298,7 @@ def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
     and often far smaller.  The result is a bound only for
     k >= max(deg(f*g), 1); k < 1 raises ValueError.  l = terms(f)*terms(g).
     """
-    _check_c4(c4)
+    _check_finite("C", c4)
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
     for name, table in (("f", spec.f_table), ("g", spec.g_table)):
@@ -540,7 +541,10 @@ def _report(name: str, lhs: float, estimate: tuple, bound: float,
 def verify_invariance(poly: MultilinearPolynomial, psi, bound: float,
                       samples: int = 1_000_000, seed: int = 0,
                       z: float = 4.0) -> InvarianceReport:
-    """Compare |exact - Monte Carlo| against bound + z * stderr."""
+    """Compare |exact - Monte Carlo| against bound + z * stderr.
+
+    z must be finite and >= 0: it is checked before anything is built."""
+    _check_finite("z", z)
     name = _resolve_psi(psi).name
     lhs = expect_exact(poly, psi)
     return _report(name, lhs, expect_gaussian_mc(poly, psi, samples, seed),
@@ -554,6 +558,7 @@ def verify_invariance_many(polys, psi, bounds, samples: int = 1_000_000,
     Each chunk of Gaussians is generated once for all of them; every
     report equals the one :func:`verify_invariance` gives on its own.
     """
+    _check_finite("z", z)
     polys, bounds = list(polys), list(bounds)
     if len(bounds) != len(polys):
         raise ValueError(

@@ -6,9 +6,10 @@ OLD_SRC and NEW_SRC are ``src`` directories, each holding a
 ``compwiretap`` package.  The script builds the requests of both
 benchmark workloads at seed S with ``perfbench/workloads.py``, writing
 their table files into a temporary directory.  It answers every request
-once through ``compwiretap.cli.main`` with each tree, each tree in a
-fresh process, and compares per request the exit code, the length and
-sha256 of stdout, and stderr.  It prints every difference and exits 1
+in each output format (``json``, ``pretty`` and ``csv``) through
+``compwiretap.cli.main`` with each tree, each tree in a fresh process,
+and compares per answer the exit code, the length and sha256 of stdout,
+and stderr.  It prints every difference and exits 1
 if there is one, 0 otherwise.  Sampled requests get the seed the
 benchmark's first pass gives them.
 
@@ -56,6 +57,7 @@ json.dump(answers, sys.stdout)
 """
 
 FIELDS = ("exit code", "stdout length", "stdout sha256", "stderr")
+FORMATS = ("json", "pretty", "csv")
 
 
 def answers(tree: str, requests_path: str) -> list:
@@ -78,8 +80,9 @@ def main(argv=None) -> int:
             directory = os.path.join(tmp, name)
             os.mkdir(directory)
             requests = workloads.build(name, args.seed, directory)
-            argvs = [workloads.argv_for(request, args.seed, 0, index)
-                     for index, request in enumerate(requests)]
+            argvs = [[*workloads.argv_for(request, args.seed, 0, index),
+                      "--format", fmt]
+                     for index, request in enumerate(requests) for fmt in FORMATS]
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(argvs, handle)
@@ -88,10 +91,11 @@ def main(argv=None) -> int:
                 for field, x, y in zip(FIELDS, a, b):
                     if x != y:
                         differences += 1
-                        print(f"{name}[{index}] {argv[0]}: {field} differs: "
-                              f"{x!r} != {y!r}")
-            total += len(argvs)
-            print(f"{name}: {len(argvs)} requests answered by both trees")
+                        print(f"{name}[{index // len(FORMATS)}] {argv[0]} "
+                              f"{argv[-1]}: {field} differs: {x!r} != {y!r}")
+            total += len(requests)
+            print(f"{name}: {len(requests)} requests answered by both trees "
+                  f"in {len(FORMATS)} formats")
     print(f"{differences} differences in {total} requests")
     return 1 if differences else 0
 

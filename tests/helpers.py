@@ -5,6 +5,7 @@ transforms) so they stay independent of the code paths they check.
 """
 
 import concurrent.futures
+import json
 import math
 import re
 from fractions import Fraction
@@ -181,6 +182,19 @@ def brute_success_probability(f_values, g_values) -> Fraction:
     for v in v_values:
         total += max(p for (u, vv), p in joint.items() if vv == v)
     return total
+
+
+def reference_map_estimator(joint) -> dict:
+    """MAP rule by a loop over each column: the first u, in ascending
+    order, with the largest probability."""
+    rule = {}
+    for j, v in enumerate(joint.v_values):
+        best = 0
+        for i in range(len(joint.u_values)):
+            if joint.probs[i, j] > joint.probs[best, j]:
+                best = i
+        rule[v] = joint.u_values[best]
+    return rule
 
 
 def brute_commutes(f_values, g_values) -> bool:
@@ -382,6 +396,18 @@ _REFERENCE_ROW = r"\d{1,18},[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d{1,3})?"
 REFERENCE_PLAIN_ROWS_RE = re.compile(
     rf"[ \t]*{_REFERENCE_ROW}(?:[ \t]*[\n\r\v\f]\s*{_REFERENCE_ROW})*\s*",
     re.ASCII)
+
+
+def serialize_table(table: TruthTable, fmt: str = "csv") -> str:
+    """Render a table in one of the two accepted file formats."""
+    if fmt == "json":
+        return json.dumps(
+            {"n": table.n, "values": [float(v) for v in table.values]})
+    if fmt == "csv":
+        lines = [f"# n={table.n}", "index,value"]
+        lines += [f"{i},{float(v)!r}" for i, v in enumerate(table.values)]
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown table format {fmt!r}")
 
 
 def reference_looks_like_table(text: str) -> bool:

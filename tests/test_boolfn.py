@@ -13,6 +13,7 @@ from compwiretap import (
     TruthTable,
     degree,
     evaluate_batch,
+    index_to_point,
     influence_profile,
     influence_spectral,
     inverse_wht,
@@ -62,19 +63,16 @@ def test_truth_table_validation():
         TruthTable(1, [1.0, float("inf")])
     with pytest.raises(ValueError):
         TruthTable(25, np.ones(2))  # n over the enumeration cap
-    with pytest.raises(ValueError):
-        TruthTable.from_values([1.0, 2.0, 3.0])  # not a power of two
 
 
 def test_index_point_convention():
     # bit (j-1) of the index clear -> x_j = +1
-    t = maj3_table()
-    assert t.point(0) == (1, 1, 1)
-    assert t.point(1) == (-1, 1, 1)
-    assert t.point(6) == (1, -1, -1)
+    assert index_to_point(0, 3) == (1, 1, 1)
+    assert index_to_point(1, 3) == (-1, 1, 1)
+    assert index_to_point(6, 3) == (1, -1, -1)
     assert point_to_index((1, -1, -1)) == 6
     for i, point in enumerate(all_points(3)):
-        assert point == t.point(i)
+        assert point == index_to_point(i, 3)
 
 
 def test_polynomial_validation():

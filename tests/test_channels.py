@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compwiretap import (
+    JointDistribution,
     MultilinearPolynomial,
     PreconditionError,
     TruthTable,
@@ -31,6 +32,7 @@ from helpers import (
     eval_poly_at,
     maj3_poly,
     random_boolean_table,
+    reference_map_estimator,
     zchannel_f_poly,
     zchannel_g_poly,
 )
@@ -199,6 +201,26 @@ def test_map_tie_breaks_to_smallest_u():
     # g is ±1 balanced on the fiber of each f value
     spec = spec_from_tables([1, 1, 1, 1], [-1, -1, 1, 1], 2)
     assert map_estimator(joint_distribution(spec)) == {1.0: -1.0}
+
+
+@st.composite
+def _joints(draw):
+    """A joint from small integer counts, so that columns often tie."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    counts = np.array(draw(st.lists(st.integers(0, 2), min_size=rows * cols,
+                                    max_size=rows * cols)), dtype=float)
+    if not counts.any():
+        counts[draw(st.integers(0, counts.size - 1))] = 1.0
+    return JointDistribution(tuple(float(u) for u in range(-1, rows - 1)),
+                             tuple(v / 2 for v in range(cols)),
+                             (counts / counts.sum()).reshape(rows, cols))
+
+
+@given(_joints())
+def test_map_estimator_matches_a_per_column_loop(joint):
+    rule = map_estimator(joint)
+    assert rule == reference_map_estimator(joint)
+    assert list(rule) == list(joint.v_values)
 
 
 def test_success_probability_examples():

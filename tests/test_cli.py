@@ -271,6 +271,21 @@ def test_invariance_multiplicative_bad_c_exits_1(capsys):
     assert capsys.readouterr().err.startswith("error: C must be finite")
 
 
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf", "-1"])
+def test_invariance_z_not_finite_and_nonnegative_exits_1(capsys, z):
+    assert main(["invariance", "--f", MAJ3, f"--z={z}", "--samples", "2000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: z must be finite and >= 0, got ")
+
+
+def test_number_over_the_digit_limit_exits_1(capsys):
+    assert main(["analyze", "--f", "x" + "1" * 5000]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: variable index has more than 4300 digits")
+    assert "sys" not in err
+
+
 def test_invariance_unknown_psi_exits_1(capsys):
     assert main(["invariance", "--f", MAJ3, "--psi", "tan"]) == 1
     err = capsys.readouterr().err

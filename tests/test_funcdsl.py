@@ -15,7 +15,6 @@ from compwiretap import (
     parse_poly,
     parse_table,
     serialize_poly,
-    serialize_table,
     term_count,
     wht,
 )
@@ -29,6 +28,7 @@ from helpers import (
     random_rational_poly,
     reference_parse_table_csv,
     reference_serialize_poly,
+    serialize_table,
     zchannel_g_poly,
 )
 
@@ -461,6 +461,58 @@ def test_parse_table_csv_caps_the_exponent():
     assert table.values.tolist() == [1e308, 0.5]
     table = parse_table(_ONE_VAR + "0,1e-400\n1,1/2\n")
     assert table.values.tobytes() == np.array([0.0, 0.5]).tobytes()
+
+
+#: An integer literal longer than the interpreter's default limit (4300
+#: digits) for converting a decimal string to an int.
+_LONG = "1" * 5000
+
+
+def _assert_plain_digit_error(err) -> None:
+    """A short message that names the digits and no interpreter setting."""
+    message = str(err.value)
+    assert "more than 4300 digits" in message
+    assert "sys" not in message and "set_int_max_str_digits" not in message
+    assert len(message) < 120
+
+
+@pytest.mark.parametrize("text, position", [
+    (f"x{_LONG}", 0),  # variable index
+    (f"2 + {_LONG}*x1", 4),  # integer
+    (f"x1*{_LONG}/3", 3),  # fraction numerator
+    (f"x1 - 1/{_LONG}", 5),  # fraction denominator
+    (f"{_LONG}.5*x1", 0),  # decimal
+    (f"x1 + 0.{'0' * 5000}1", 5),  # decimal with a long fraction part
+], ids=["variable", "integer", "numerator", "denominator", "decimal", "fraction_part"])
+def test_expression_number_over_the_digit_limit_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert err.value.position == position
+    _assert_plain_digit_error(err)
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"# n={_LONG}\nindex,value\n0,1\n1,-1\n", 1),  # comment header
+    (f"index,value\nn={_LONG}\n0,1\n1,-1\n", 2),  # bare header line
+    (f"{_ONE_VAR}0,1\n{_LONG},-1\n", 4),  # index field
+], ids=["comment_header", "bare_header", "index"])
+def test_csv_integer_over_the_digit_limit_is_a_parse_error(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_table(text)
+    assert str(err.value).startswith(f"line {line}: ")
+    _assert_plain_digit_error(err)
+
+
+@pytest.mark.parametrize("text, position", [
+    (f'{{"n": {_LONG}, "values": [1, -1]}}', 6),
+    # a longer float before it reads as a float, so it is not the culprit
+    (f'{{"n": 1, "values": [{_LONG}.5, -{_LONG}]}}', 5024),
+], ids=["n", "value"])
+def test_json_integer_over_the_digit_limit_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_table(text)
+    assert err.value.position == position
+    _assert_plain_digit_error(err)
 
 
 def test_parse_table_accepts_what_fraction_reads():

@@ -540,6 +540,25 @@ def test_verify_invariance_many_validation():
         verify_invariance_many([], "cos", [], samples=2000)
 
 
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_verify_invariance_rejects_z_before_any_sample_or_table(monkeypatch, z):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample or a table was built")
+
+    monkeypatch.setattr(invariance, "_gaussian_mc", refuse)
+    monkeypatch.setattr(invariance, "inverse_wht", refuse)
+    poly = maj3_poly()
+    with pytest.raises(ValueError, match=r"^z must be finite and >= 0, got "):
+        verify_invariance(poly, "cos", 1.0, samples=2000, z=z)
+    with pytest.raises(ValueError, match=r"^z must be finite and >= 0, got "):
+        verify_invariance_many([poly, poly], "cos", [1.0, 1.0], samples=2000, z=z)
+
+
+def test_verify_invariance_accepts_z_zero():
+    report = verify_invariance(maj3_poly(), "cos", 91.125, samples=2000, z=0.0)
+    assert report.z == 0.0 and report.passed
+
+
 def test_gaussian_mc_input_validation():
     poly = maj3_poly()
     with pytest.raises(ValueError):
