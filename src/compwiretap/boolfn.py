@@ -297,48 +297,69 @@ def _levels(a: np.ndarray, scratch: np.ndarray, h: int) -> None:
         h <<= 1
 
 
-def _butterfly(a: np.ndarray, used=None) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly, O(n * 2**n).
+def _butterfly(a: np.ndarray, used=None, emit=None, rows=None) -> np.ndarray:
+    """Walsh-Hadamard butterfly, O(n * 2**n).
 
     Computes ``out[S] = sum_i (-1)**popcount(i & S) * a[i]``.  The levels
-    with ``h`` below :data:`_BLOCK` run one cache block at a time; the
-    remaining levels run on column strips of the ``(rows, _BLOCK)`` grid,
-    copied into scratch.  Every element sees the same ``x + y`` and
-    ``x - y`` in the same level order as a plain level loop, so the
-    result is bit-identical to it.
+    with ``h`` below :data:`_BLOCK` run one cache block (a row of the
+    ``(rows, block)`` grid) at a time, in place; the remaining levels run
+    on column strips of the grid, copied into scratch.  Every element
+    sees the same ``x + y`` and ``x - y`` in the same level order as a
+    plain level loop, so the result is bit-identical to it.
 
-    ``used``, if given, lists the block rows that may hold a nonzero
-    value; the block levels run on those rows only.  Every other row
-    must be all ``+0.0``: the levels would leave it so, since
-    ``+0.0 + +0.0`` and ``+0.0 - +0.0`` are both ``+0.0``, so skipping it
-    gives the same bytes.  The strips always cover the whole grid.
+    ``used``, if given, lists in ascending order the rows that may hold
+    a nonzero value; the block levels run on those only.  Every other
+    row is taken as all ``+0.0`` and never read: the levels would leave
+    it so, since ``+0.0 + +0.0`` and ``+0.0 - +0.0`` are both ``+0.0``,
+    so its strips start from ``+0.0``.  ``a`` is the whole table, flat;
+    or, when ``rows`` is given, a ``(len(used), _BLOCK)`` array of the
+    listed rows alone.
 
-    With more than one block, the blocks and then the strips are dealt
-    out to worker threads (see :func:`_pool`), each with its own scratch;
-    numpy releases the interpreter lock inside each level.  Blocks and
-    strips are disjoint, so the result does not depend on the number of
-    workers.
+    Each strip comes out of its levels final for every row and goes to
+    ``emit(c, strip)``: ``strip`` is flat scratch holding the
+    ``(rows, width)`` strip that starts at column ``c``, which ``emit``
+    must not keep.  By default it is written back into the whole table
+    ``a``.  One row has no strips, and ``emit`` is not called.
+
+    With more than one row, the rows and then the strips are dealt out
+    to worker threads (see :func:`_pool`), each with its own scratch,
+    and ``emit`` runs on them; numpy releases the interpreter lock
+    inside each level.  Rows and strips are disjoint, so the result does
+    not depend on the number of workers.
     """
-    size = a.size
-    block = min(size, _BLOCK)
-    rows = size // block  # at most block, since size <= 2**MAX_N
-    grid = a.reshape(rows, block)
-    width = block // rows
-    used = range(rows) if used is None else used
+    if rows is None:
+        grid = a.reshape(-1, min(a.size, _BLOCK))
+        rows = len(grid)
+        used = range(rows) if used is None else used
+        stored = used
+    else:
+        grid = a
+        stored = range(len(used))
+    block = grid.shape[1]
+    width = block // rows  # rows is at most block, since size <= 2**MAX_N
     workers, pool = _pool(rows)
     scratch = np.empty((workers, block + block // 2), dtype=a.dtype)
 
+    def write_back(c, strip):
+        grid[:, c:c + width] = strip.reshape(rows, width)
+
+    emit = write_back if emit is None else emit
+
     def blocks(w):
-        for r in used[w::workers]:
-            _levels(grid[r], scratch[w, block:], 1)
+        for k in range(w, len(used), workers):
+            _levels(grid[stored[k]], scratch[w, block:], 1)
 
     def strips(w):
         strip, spare = scratch[w, :block], scratch[w, block:]
         cols = strip.reshape(rows, width)
         for c in range(w * width, block, workers * width):
-            np.copyto(cols, grid[:, c:c + width])
+            if len(used) == rows:
+                np.copyto(cols, grid[:, c:c + width])
+            else:
+                cols.fill(0.0)
+                cols[used] = grid[stored, c:c + width]
             _levels(strip, spare, width)
-            grid[:, c:c + width] = cols
+            emit(c, strip)
 
     with pool as executor:
         for phase in (blocks, strips) if rows > 1 else (blocks,):
@@ -358,21 +379,44 @@ def _spectrum(a: np.ndarray, n: int) -> MultilinearPolynomial:
     return MultilinearPolynomial(n, (keep, a[keep]))
 
 
+def _used_rows(poly: MultilinearPolynomial, block: int) -> np.ndarray:
+    """The block rows of the coefficient table that hold a mask."""
+    return np.flatnonzero(np.bincount(poly.masks // block,
+                                      minlength=(1 << poly.n) // block))
+
+
 def _values(poly: MultilinearPolynomial) -> np.ndarray:
     """Fresh float array of the polynomial on all 2**n points.
 
-    The coefficients are placed in a table of ``+0.0`` and transformed.
-    The butterfly's block levels run only on the cache blocks that hold
-    a mask; the others stay ``+0.0``, which is what the levels would
-    write there, so the bytes are those of a transform of every block.
-    For the n=24 chain, where 9 of 256 blocks hold a mask, this takes
-    about 0.15 s against 0.45 s when every block runs (shared 2-core
-    x86-64 machine, numpy 2.4.6).
+    The coefficients are placed in the cache blocks that hold a mask,
+    zeroed first, and the butterfly runs its block levels on those
+    alone; the bytes are those of a transform of a zeroed table.
     """
-    a = np.zeros(1 << poly.n, dtype=np.float64)
+    size = 1 << poly.n
+    block = min(size, _BLOCK)
+    used = _used_rows(poly, block)
+    if size == block:  # one block, and no strips to write it
+        a = np.zeros(size, dtype=np.float64)
+    else:
+        a = np.empty(size, dtype=np.float64)
+        a.reshape(-1, block)[used] = 0.0
     a[poly.masks] = poly.values  # float(v) for each exact coefficient
-    used = np.flatnonzero(np.bincount(poly.masks // _BLOCK))
-    return _butterfly(a, used.tolist())
+    return _butterfly(a, used)
+
+
+def _value_strips(poly: MultilinearPolynomial, emit) -> None:
+    """Hand each final column strip of the polynomial's values to
+    ``emit(c, strip)`` (see :func:`_butterfly`), for ``2**n`` above
+    :data:`_BLOCK`, holding only the cache blocks that hold a mask: for
+    the n=24 chain, 9 of 256 blocks, 4.5 MiB where the table is 128 MiB.
+    """
+    rows = (1 << poly.n) // _BLOCK
+    used = _used_rows(poly, _BLOCK)
+    blocks = np.zeros((used.size, _BLOCK), dtype=np.float64)
+    # float(v) for each exact coefficient
+    blocks[np.searchsorted(used, poly.masks // _BLOCK),
+           poly.masks % _BLOCK] = poly.values
+    _butterfly(blocks, used, emit, rows)
 
 
 def wht(table: TruthTable) -> MultilinearPolynomial:

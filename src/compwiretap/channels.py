@@ -229,10 +229,12 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class CommutesReport(Report):
-    """Whether the estimate can always be exact, with a counterexample."""
+    """Whether the estimate can always be exact, with a counterexample,
+    and Eve's MAP success probability."""
 
     commutes: bool
-    witness: tuple | None = None  # pair of ±1 points when not commuting
+    witness: tuple | None  # pair of ±1 points when not commuting
+    success_probability: float
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +289,24 @@ def commutes(spec: WiretapSpec) -> CommutesReport:
 
     Otherwise the witness is the first point of the smallest and of the
     largest g-value at the smallest f-value that meets two g-values.
+    The success probability is :func:`eve_success_probability` of the
+    joint, bit for bit, from the joint's nonzero cells alone: the largest
+    count at each f-value over 2**n (exact), summed over the same
+    |V|-long array, so memory stays O(2**n) at any alphabet size.
     """
     _, f_values, cells = _cells(spec.g_table.values, spec.f_table.values)
-    present = np.unique(cells)
+    present, counts = np.unique(cells, return_counts=True)
     f_labels = present % len(f_values)
+    best = np.zeros(len(f_values), dtype=counts.dtype)
+    np.maximum.at(best, f_labels, counts)
+    success = float((best / cells.size).sum())
     clashing = np.bincount(f_labels) > 1
     if not clashing.any():
-        return CommutesReport(True)
+        return CommutesReport(True, None, success)
     at = present[f_labels == np.argmax(clashing)]  # g ascends: cells are (g, f)
     return CommutesReport(False, tuple(
-        index_to_point(int(np.argmax(cells == c)), spec.n) for c in (at[0], at[-1])))
+        index_to_point(int(np.argmax(cells == c)), spec.n) for c in (at[0], at[-1])),
+        success)
 
 
 def _noise_model(kind, u, noise, poly, **fields) -> NoiseModel:

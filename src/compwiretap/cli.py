@@ -200,11 +200,7 @@ def _cmd_channel(args):
 
 def _cmd_commute(args):
     spec = _load_pair(args)
-    report = _pair_report(
-        spec, **channels.commutes(spec).to_dict(),
-        success_probability=channels.eve_success_probability(
-            channels.joint_distribution(spec)))
-    return report, 0
+    return _pair_report(spec, **channels.commutes(spec).to_dict()), 0
 
 
 def _cmd_invariance(args):

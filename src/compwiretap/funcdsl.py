@@ -31,6 +31,7 @@ Two concrete formats:
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -359,20 +360,36 @@ def _parse_first_field(field: str, n: int, lineno: int) -> int:
     return point_to_index(point)
 
 
+#: A plain decimal value, which ``float`` reads as the fast path does.
+_PLAIN_VALUE_RE = re.compile(rf"[+-]?{_DECIMAL}(?:[eE][+-]?\d+)?", re.ASCII)
+
+
 def _parse_value(field: str, lineno: int) -> float:
+    """A row's value: a plain decimal read by ``float``, which rounds
+    correctly as ``float(Fraction(s))`` does, at any length, so a value
+    reads as on the fast path; anything else through ``Fraction``.  -0 is
+    stored as +0.0."""
     # the same exponent cap as the expression parser: a longer exponent
     # would make the exact rational huge
     exponent = field.lower().partition("e")[2]
     if sum(c.isdigit() for c in exponent) > 3:
         raise ParseError(
             f"line {lineno}: value {field!r} has an exponent of more than 3 digits")
+    text = field.strip()
     try:
-        return float(Fraction(field.strip()))
+        value = float(text if _PLAIN_VALUE_RE.fullmatch(text) else Fraction(text))
     except (ValueError, ZeroDivisionError):
+        limit = sys.get_int_max_str_digits()
+        if max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+            digits = sum(c.isdigit() for c in text)
+            raise ParseError(f"line {lineno}: value has {digits} digits, "
+                             f"more than {limit} in one integer") from None
         raise ParseError(f"line {lineno}: unparseable value {field!r}") from None
     except OverflowError:
-        raise ParseError(
-            f"line {lineno}: value {field!r} is outside float range") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: value {field!r} is outside float range")
+    return value + 0.0
 
 
 def _split_lines(lines) -> tuple:

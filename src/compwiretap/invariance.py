@@ -35,9 +35,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from .boolfn import (
+    _BLOCK,
     MultilinearPolynomial,
     PreconditionError,
     _pool,
+    _value_strips,
     degree,
     evaluate_batch,
     influence_profile,
@@ -316,22 +318,59 @@ def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
 # Expectations: exact ±1 side and Gaussian Monte Carlo side
 # ---------------------------------------------------------------------------
 
+#: numpy 2 sums a contiguous float64 run of 2**k >= 128 values as
+#: ``0.0 +`` a balanced tree over leaves of this many values.
+_LEAF = 128
+
+
+def _leaf_sums(values: np.ndarray) -> np.ndarray:
+    """numpy's own sum of each leaf of each row of ``values``.  The
+    ``0.0 +`` it adds can flip only the sign of a zero leaf, which the
+    ``0.0 +`` of :func:`_row_sums` erases."""
+    return np.add.reduce(values.reshape(-1, _LEAF), axis=1).reshape(len(values), -1)
+
+
+def _row_sums(leaves: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` of each row, from the row's leaf sums."""
+    while leaves.shape[1] > 1:
+        leaves = leaves[:, 0::2] + leaves[:, 1::2]
+    return 0.0 + leaves[:, 0]
+
+
 def expect_exact(poly: MultilinearPolynomial, psi) -> float:
     """E[psi(F(x))] for uniform ±1 x, by dense enumeration.
 
-    psi runs on slices of :data:`_CHUNK` points, so no second full table
-    is held.  The slice sums are added by recursive halving: for these
-    power-of-two sizes that is the order of numpy's pairwise sum, so the
-    result equals ``np.mean(psi(table))`` bit for bit.
+    The result equals ``np.mean(psi(table))`` bit for bit, and no table
+    of 2**n values is held.  Up to 2**16 points psi runs on the whole
+    table on the calling thread.  Above, psi runs on each column strip
+    of the butterfly as it comes out final (see
+    :func:`boolfn._value_strips`), on the butterfly's worker threads,
+    possibly at once, so psi must act elementwise on a contiguous array,
+    as every catalog psi does.  A strip is at least 256 columns wide at
+    ``MAX_N``, so it holds whole leaves of each 2**16-point row; only the
+    leaf sums are kept (1 MiB at n=24), folded per row as numpy folds
+    them, and the row sums are added by recursive halving, numpy's order
+    for these power-of-two sizes.
     """
     fn = _resolve_psi(psi).fn
-    values = inverse_wht(poly).values
-    sums = np.array([
-        np.add.reduce(np.asarray(fn(values[i:i + _CHUNK]), dtype=np.float64))
-        for i in range(0, values.size, _CHUNK)])
+    size = 1 << poly.n
+    if size <= _BLOCK:
+        values = inverse_wht(poly).values
+        total = np.add.reduce(np.asarray(fn(values), dtype=np.float64))
+        return float(total / size)
+    rows = size // _BLOCK
+    leaves = np.empty((rows, _BLOCK // _LEAF))
+
+    def fold(c, strip):
+        width = strip.size // rows
+        values = np.asarray(fn(strip), dtype=np.float64).reshape(rows, width)
+        leaves[:, c // _LEAF:(c + width) // _LEAF] = _leaf_sums(values)
+
+    _value_strips(poly, fold)
+    sums = _row_sums(leaves)
     while sums.size > 1:
         sums = sums[0::2] + sums[1::2]
-    return float(sums[0] / values.size)
+    return float(sums[0] / size)
 
 
 # Counter-based sample generation: the Gaussian for (sample i, coordinate
@@ -341,9 +380,11 @@ def expect_exact(poly: MultilinearPolynomial, psi) -> float:
 # number of workers) with bit-identical results.
 
 _CHUNK = 1 << 16
-#: Rows per block of generation: a block's mixing state (two n x 2**11
-#: uint64 buffers) stays in cache while it runs through every step.
-_GEN_ROWS = 1 << 11
+#: Points (rows times n) per block of generation: a block's mixing state
+#: (two uint64 buffers of 512 KiB) stays in cache while it runs through
+#: every step, and at small n each ufunc call still has work enough to
+#: run alongside another worker's.
+_GEN_POINTS = 1 << 16
 _K_INDEX = 0x9E3779B97F4A7C15
 _K_COORD = 0xC2B2AE3D27D4EB4F
 _K_SEED = 0xD6E8FEB86659FD93
@@ -372,9 +413,11 @@ def _counter_gaussians(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     A counter ``k`` maps to the midpoint ``(k + 0.5) * 2**-53`` of its
     interval.  For ``k = 2**53 - 1`` that midpoint rounds to 1.0, whose
     quantile is infinite, so it is clamped to the largest double below 1.
-    Every other midpoint is below that double and does not move.
+    Every other midpoint is below that double and does not move.  A
+    counter is below 2**53, so its int64 view converts to float exactly,
+    and far faster than from uint64.
     """
-    np.add(z, 0.5, out=out)
+    np.add(z.view(np.int64), 0.5, out=out)
     out *= 2.0 ** -53
     np.minimum(out, _BELOW_ONE, out=out)
     return ndtri(out, out=out)
@@ -387,8 +430,8 @@ def _gaussian_chunk(seed: int, n: int, start: int, length: int,
     Returns a (length, n) view of a coordinate-major array, so each
     coordinate is one contiguous row for :func:`evaluate_batch`; that
     array is ``out``, of shape (n, length), when given.  Rows
-    are generated :data:`_GEN_ROWS` at a time, in place on one uint64
-    block and one scratch buffer, and the normal quantile is written
+    are generated about :data:`_GEN_POINTS` points at a time, in place
+    on one uint64 block and one scratch buffer, and the normal quantile is written
     straight into the result.  The integer steps are exact and the
     float steps act element by element, so the values do not depend on
     the blocking.
@@ -396,7 +439,7 @@ def _gaussian_chunk(seed: int, n: int, start: int, length: int,
     gauss = np.empty((n, length), dtype=np.float64) if out is None else out
     coord = (np.arange(n, dtype=np.uint64)[:, None] * np.uint64(_K_COORD)
              + np.uint64((seed * _K_SEED) & _MASK64))
-    rows = max(1, min(_GEN_ROWS, length))
+    rows = max(1, min(_GEN_POINTS // n, length))
     z = np.empty((n, rows), dtype=np.uint64)
     scratch = np.empty_like(z)
     for r0 in range(0, length, rows):

@@ -9,8 +9,9 @@ their table files into a temporary directory.  It answers every request
 in each output format (``json``, ``pretty`` and ``csv``) through
 ``compwiretap.cli.main`` with each tree, each tree in a fresh process,
 and compares per answer the exit code, the length and sha256 of stdout,
-and stderr.  It prints every difference and exits 1
-if there is one, 0 otherwise.  Sampled requests get the seed the
+and stderr.  It prints every difference and, per workload, the
+difference count and each tree's peak RSS (``ru_maxrss`` of the process
+that answered), and exits 1 if there is a difference, 0 otherwise.  Sampled requests get the seed the
 benchmark's first pass gives them.
 
 No process writes bytecode, so nothing is left under ``perfbench/`` or
@@ -32,10 +33,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
-# Run in a fresh interpreter with argv [tree, requests.json]: prints, per
-# request, [exit code, stdout length in bytes, stdout sha256, stderr].
+# Run in a fresh interpreter with argv [tree, requests.json]: prints the
+# process's peak RSS in KiB and, per request, [exit code, stdout length in
+# bytes, stdout sha256, stderr].
 ANSWER = """
-import contextlib, hashlib, io, json, sys
+import contextlib, hashlib, io, json, resource, sys
 tree, path = sys.argv[1:]
 sys.path.insert(0, tree)
 import compwiretap.cli as cli
@@ -53,17 +55,20 @@ for argv in json.load(open(path, encoding="utf-8")):
     data = out.getvalue().encode("utf-8")
     answers.append([code, len(data), hashlib.sha256(data).hexdigest(),
                     err.getvalue()])
-json.dump(answers, sys.stdout)
+peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+json.dump([peak_kib, answers], sys.stdout)
 """
 
 FIELDS = ("exit code", "stdout length", "stdout sha256", "stderr")
 FORMATS = ("json", "pretty", "csv")
 
 
-def answers(tree: str, requests_path: str) -> list:
+def answers(tree: str, requests_path: str) -> tuple:
+    """(peak RSS in MB, the answers) of one tree in a fresh process."""
     run = subprocess.run([sys.executable, "-B", "-c", ANSWER, tree, requests_path],
                          capture_output=True, text=True, check=True)
-    return json.loads(run.stdout)
+    peak_kib, result = json.loads(run.stdout)
+    return peak_kib * 1024 / 1e6, result
 
 
 def main(argv=None) -> int:
@@ -86,16 +91,19 @@ def main(argv=None) -> int:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(argvs, handle)
-            old, new = (answers(tree, path) for tree in trees)
+            (old_peak, old), (new_peak, new) = (answers(tree, path) for tree in trees)
+            found = 0
             for index, (argv, a, b) in enumerate(zip(argvs, old, new)):
                 for field, x, y in zip(FIELDS, a, b):
                     if x != y:
-                        differences += 1
+                        found += 1
                         print(f"{name}[{index // len(FORMATS)}] {argv[0]} "
                               f"{argv[-1]}: {field} differs: {x!r} != {y!r}")
+            differences += found
             total += len(requests)
             print(f"{name}: {len(requests)} requests answered by both trees "
-                  f"in {len(FORMATS)} formats")
+                  f"in {len(FORMATS)} formats, {found} differences; "
+                  f"peak RSS {old_peak:.1f} MB (old), {new_peak:.1f} MB (new)")
     print(f"{differences} differences in {total} requests")
     return 1 if differences else 0
 

@@ -347,6 +347,54 @@ def reference_gaussian_chunk(seed: int, n: int, start: int,
     return ndtri(np.minimum(uniform, np.nextafter(1.0, 0.0)))
 
 
+def parent_counter_gaussians(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Normal quantiles of 53-bit ``uint64`` counters as the generator
+    first computed them: ``uint64`` plus 0.5, scaled, clamped below 1."""
+    from scipy.special import ndtri
+
+    np.add(z, 0.5, out=out)
+    out *= 2.0 ** -53
+    np.minimum(out, np.nextafter(1.0, 0.0), out=out)
+    return ndtri(out, out=out)
+
+
+def parent_gaussian_chunk(seed: int, n: int, start: int,
+                          length: int) -> np.ndarray:
+    """The blocked generator as it first was: 2**11 rows per block, each
+    counter converted from ``uint64``.  The package's generator must
+    give the same bytes, whatever its blocking and conversions."""
+    mask64 = (1 << 64) - 1
+    mix = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+           (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+    k_index = np.uint64(0x9E3779B97F4A7C15)
+
+    def mix64(z, scratch):
+        for shift, factor in mix:
+            np.right_shift(z, shift, out=scratch)
+            z ^= scratch
+            z *= factor
+        np.right_shift(z, np.uint64(31), out=scratch)
+        z ^= scratch
+
+    gauss = np.empty((n, length), dtype=np.float64)
+    coord = (np.arange(n, dtype=np.uint64)[:, None] * np.uint64(0xC2B2AE3D27D4EB4F)
+             + np.uint64((seed * 0xD6E8FEB86659FD93) & mask64))
+    rows = max(1, min(1 << 11, length))
+    z = np.empty((n, rows), dtype=np.uint64)
+    scratch = np.empty_like(z)
+    for r0 in range(0, length, rows):
+        r1 = min(r0 + rows, length)
+        zb, sb = z[:, :r1 - r0], scratch[:, :r1 - r0]
+        idx = np.arange(start + r0, start + r1, dtype=np.uint64)
+        np.add(idx * k_index, coord, out=zb)
+        mix64(zb, sb)
+        zb += k_index
+        mix64(zb, sb)
+        zb >>= np.uint64(11)
+        parent_counter_gaussians(zb, gauss[:, r0:r1])
+    return gauss.T
+
+
 def reference_parse_table_csv(text: str) -> np.ndarray:
     """Values of a CSV table file, read one row at a time.
 

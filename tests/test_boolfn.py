@@ -527,12 +527,16 @@ def test_butterfly_many_workers_fast_switching(monkeypatch):
     monkeypatch.setattr(boolfn, "_BLOCK", 64)
     use_workers(monkeypatch, 8)
     a = np.random.default_rng(3).standard_normal(1 << 12)
+    # masks in 5 of the 64 blocks: the strips start the others from +0.0
+    sparse = MultilinearPolynomial(12, {m: 0.5 + m for m in (1, 70, 71, 900, 2050, 4095)})
+    expected = reference_values(sparse).tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
             assert (boolfn._butterfly(a.copy()).tobytes()
                     == reference_butterfly(a.copy()).tobytes())
+            assert boolfn._values(sparse).tobytes() == expected
     finally:
         sys.setswitchinterval(interval)
 

@@ -493,6 +493,30 @@ def test_commutes_matches_brute_force_witness(pair):
     assert (report.commutes, report.witness) == brute_commutes_witness(f, g, n)
 
 
+@given(_fibered_pairs())
+def test_success_probability_from_cells_equals_the_dense_joint(pair):
+    # commutes counts the joint's nonzero cells; dividing each largest
+    # count by 2**n is exact, so the sum has the dense joint's bits
+    n, f, g = pair
+    spec = spec_from_tables(f, g, n)
+    dense = eve_success_probability(joint_distribution(spec))
+    got = commutes(spec).success_probability
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(dense).tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_success_probability_from_cells_distinct_values(n):
+    rng = np.random.default_rng(n)
+    for f, g in [(rng.standard_normal(1 << n), rng.standard_normal(1 << n)),
+                 (np.round(rng.standard_normal(1 << n), 1),
+                  rng.standard_normal(1 << n))]:
+        spec = spec_from_tables(f, g, n)
+        dense = eve_success_probability(joint_distribution(spec))
+        assert (np.float64(commutes(spec).success_probability).tobytes()
+                == np.float64(dense).tobytes())
+
+
 def test_commutes_reports_g_chain_before_f_chain():
     # as the joint of (g, f) does, commutes merges g's values first, so
     # when both tables chain, g's run is the one named

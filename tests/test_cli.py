@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -118,6 +119,29 @@ def test_commute_cases(capsys):
 
     code, report = run_json(capsys, ["commute", "--f", ZCHAN_F, "--g", ZCHAN_G])
     assert code == 0 and report["commutes"] is False
+
+
+def test_commute_on_distinct_valued_n12_tables_holds_no_dense_joint(
+        tmp_path, capsys):
+    # 4096 distinct values on each side: the dense |U| x |V| joint the
+    # parent built took 256 MiB
+    rng = np.random.default_rng(12)
+    sources = []
+    for name in ("f", "g"):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(f"{i},{v!r}\n" for i, v in
+                                enumerate(rng.standard_normal(1 << 12).tolist())))
+        sources.append(f"@{path}")
+    tracemalloc.start()
+    try:
+        code = main(["commute", "--f", sources[0], "--g", sources[1]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["commutes"] is True and report["success_probability"] == 1.0
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------------

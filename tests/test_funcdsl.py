@@ -515,6 +515,37 @@ def test_json_integer_over_the_digit_limit_is_a_parse_error(text, position):
     _assert_plain_digit_error(err)
 
 
+#: A decimal of more than 4300 digits that rounds to 0.0, and others
+#: that round to ordinary doubles.
+_TINY = "0." + "0" * 5000 + "1"
+
+
+@pytest.mark.parametrize("value", [
+    _TINY, "-" + _TINY, "0." + "3" * 5000, "0." + "12" * 2500 + "e-300",
+    "." + "9" * 4400, "-" + "7" * 300 + "." + "1" * 4400,
+], ids=["tiny", "negative_tiny", "third", "exponent", "leading_point", "negative"])
+def test_csv_long_decimal_reads_the_same_on_both_readers(value):
+    # the fast path reads plain rows with float; a point row sends the
+    # file to the row-by-row reader, which must give the same bytes
+    expected = np.array([float(value) + 0.0, 1.0])
+    plain = parse_table(_ONE_VAR + f"0,{value}\n1,1\n")
+    by_rows = parse_table(f"# n=1\nindex,value\n+1,{value}\n-1,1\n")
+    assert plain.values.tobytes() == expected.tobytes()
+    assert by_rows.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value, digits", [
+    ("1/" + _LONG, 5001), (_LONG + "/7", 5001), ("1_" + _LONG, 5001),
+], ids=["denominator", "numerator", "underscore"])
+def test_csv_value_over_the_digit_limit_names_line_and_digits(value, digits):
+    with pytest.raises(ParseError) as err:
+        parse_table(_ONE_VAR + f"0,1\n1,{value}\n")
+    message = str(err.value)
+    assert message.startswith("line 4: ")
+    assert f"{digits} digits" in message and "4300" in message
+    assert len(message) < 120
+
+
 def test_parse_table_accepts_what_fraction_reads():
     # spaces around a field are stripped, and -0 is stored as +0.0
     table = parse_table(_ONE_VAR + " 0 , -0.0 \n1,-0\n")

@@ -43,6 +43,8 @@ from helpers import (
     exact_expectation,
     exact_quartic_gap,
     maj3_poly,
+    parent_counter_gaussians,
+    parent_gaussian_chunk,
     random_boolean_table,
     random_rational_poly,
     reference_gaussian_chunk,
@@ -326,7 +328,7 @@ def test_expect_exact_identity_and_square():
         assert abs(expect_exact(poly, "square") - power) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 10, 16, 17, 18, 20])
+@pytest.mark.parametrize("n", [1, 10, 16, 17, 18, 20, 21, 22, 23, 24])
 def test_expect_exact_equals_numpy_mean(n):
     # slice sums added by halving follow numpy's pairwise order exactly
     rng = np.random.default_rng(n)
@@ -337,6 +339,122 @@ def test_expect_exact_equals_numpy_mean(n):
     for name, psi in PSI_CATALOG.items():
         expected = np.mean(np.asarray(psi.fn(values), dtype=np.float64))
         assert np.float64(expect_exact(poly, name)).tobytes() == expected.tobytes()
+
+
+def _exact_side_layout(rng, n, layout):
+    """Masks in one block row, in every block row, or anywhere, with
+    float or exact coefficients."""
+    rows = 1 << (n - 16)
+    if layout == "one_row":
+        masks = (int(rng.integers(rows)) << 16) + rng.integers(0, 1 << 16, 30)
+    elif layout == "every_row":
+        masks = (np.arange(rows) << 16) + rng.integers(0, 1 << 16, rows)
+    else:
+        masks = rng.integers(0, 1 << n, 60)
+    if layout == "fractions":
+        values = [Fraction(int(a), int(b)) for a, b in zip(
+            rng.integers(-40, 41, masks.size), rng.integers(1, 30, masks.size))]
+    else:
+        values = (rng.standard_normal(masks.size) * 2.0).tolist()
+    return MultilinearPolynomial(n, dict(zip(masks.tolist(), values)))
+
+
+@pytest.mark.parametrize("n, layout, workers", [
+    (21, "one_row", 1), (21, "every_row", 2), (21, "fractions", 2),
+    (22, "fractions", 1), (24, "one_row", 2), (24, "every_row", 2)])
+def test_expect_exact_equals_numpy_mean_for_block_layouts(
+        monkeypatch, n, layout, workers):
+    # the strips are folded as they come out of the butterfly, on any
+    # number of workers; the result is still np.mean of the whole table
+    use_workers(monkeypatch, workers)
+    poly = _exact_side_layout(np.random.default_rng(n), n, layout)
+    values = inverse_wht(poly).values
+    names = ["quartic", "sin"] if n == 24 else list(PSI_CATALOG)
+    for name in names:
+        expected = np.mean(PSI_CATALOG[name].fn(values))
+        assert np.float64(expect_exact(poly, name)).tobytes() == expected.tobytes()
+
+
+def test_expect_exact_chain24_equals_numpy_mean():
+    f, _ = chain_pair_polys(24)
+    values = inverse_wht(f).values
+    for name in ("quartic", "cos"):
+        expected = np.mean(PSI_CATALOG[name].fn(values))
+        assert np.float64(expect_exact(f, name)).tobytes() == expected.tobytes()
+
+
+def _special_row(rng, kind):
+    """A 2**16-point row of mixed magnitudes with signed zeros, infinities,
+    NaNs or subnormals sprinkled in."""
+    row = rng.standard_normal(1 << 16) * np.exp2(rng.integers(-60, 60, 1 << 16))
+    at = rng.integers(0, row.size, 64)
+    if kind == "zeros":
+        row[:] = rng.choice([0.0, -0.0], row.size)
+        row[at[:3]] = rng.standard_normal(3)
+    elif kind == "negative_zeros":
+        row[:] = -0.0
+    elif kind == "inf":
+        row[at] = np.inf
+    elif kind == "inf_and_nan":
+        row[at[:32]] = np.inf
+        row[at[32:]] = -np.inf
+    elif kind == "nan":
+        row[at] = np.nan
+    elif kind == "subnormal":
+        row = rng.standard_normal(row.size) * 5e-324 * 1e5
+        row[at] = -0.0
+    elif kind == "huge":
+        row = rng.standard_normal(row.size) * 1e307
+    return row
+
+
+@pytest.mark.parametrize("kind", ["mixed", "zeros", "negative_zeros", "inf",
+                                  "inf_and_nan", "nan", "subnormal", "huge"])
+def test_leaf_and_tree_fold_is_numpys_pairwise_sum(kind):
+    # expect_exact folds 128-value leaves in a balanced tree and adds the
+    # result to 0.0: the order numpy's add.reduce uses on a contiguous
+    # row.  A numpy whose summation order differs fails here.
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    rows = np.stack([_special_row(rng, kind) for _ in range(4)])
+    with np.errstate(all="ignore"):  # inf - inf, and overflow
+        leaves = np.concatenate([invariance._leaf_sums(strip) for strip in
+                                 np.hsplit(rows, 64)], axis=1)
+        folded = invariance._row_sums(leaves)
+        expected = np.array([np.add.reduce(row) for row in rows])
+    assert leaves.shape == (4, 512)
+    assert folded.tobytes() == expected.tobytes()
+
+
+def test_expect_exact_n24_chain_holds_no_dense_table():
+    # the parent built the 128 MiB table of values and psi of it
+    f, _ = chain_pair_polys(24)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        expect_exact(f, "quartic")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_expect_exact_many_workers_fast_switching(monkeypatch):
+    # more workers than cores, each running psi and writing its strips'
+    # leaf sums, switching threads as often as possible
+    polys = [_exact_side_layout(np.random.default_rng(20), 20, layout)
+             for layout in ("one_row", "random")]
+    use_workers(monkeypatch, 1)
+    expected = [np.float64(expect_exact(poly, "sin")).tobytes() for poly in polys]
+    use_workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert [np.float64(expect_exact(poly, "sin")).tobytes()
+                    for poly in polys] == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_expect_exact_maj3_cos():
@@ -430,8 +548,33 @@ def test_counter_gaussians_are_finite_at_the_top_counter():
 
 def test_gaussian_chunk_row_blocks_do_not_matter(monkeypatch):
     expected = reference_gaussian_chunk(9, 5, 123, 1000)
-    monkeypatch.setattr(invariance, "_GEN_ROWS", 7)
+    monkeypatch.setattr(invariance, "_GEN_POINTS", 7 * 5)  # 7 rows
     assert _gaussian_chunk(9, 5, 123, 1000).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 24])
+@pytest.mark.parametrize("start, length", [
+    (0, 1 << 16), (5 << 16, 1 << 16), ((1 << 40) + 3, 4099), (17, 1)])
+def test_gaussian_chunk_matches_the_first_blocked_generator(n, start, length):
+    for seed in (0, 12345, (1 << 64) - 1):
+        block = _gaussian_chunk(seed, n, start, length)
+        expected = parent_gaussian_chunk(seed, n, start, length)
+        assert block.tobytes() == expected.tobytes()
+
+
+def test_counter_gaussians_match_the_uint64_conversion():
+    # every counter is below 2**53, so its int64 view converts exactly;
+    # the top counter's midpoint is clamped below 1.0 as before
+    rng = np.random.default_rng(53)
+    z = np.concatenate([
+        np.array([0, 1, 2, 1 << 52, (1 << 53) - 2, (1 << 53) - 1]),
+        rng.integers(0, 1 << 53, 10_000),
+        (1 << 53) - 1 - rng.integers(0, 1 << 12, 1000)]).astype(np.uint64)
+    for block in (z, z[:11_000].reshape(10, -1)[:, 1::3]):
+        got = _counter_gaussians(block, np.empty(block.shape))
+        expected = parent_counter_gaussians(block, np.empty(block.shape))
+        assert got.tobytes() == expected.tobytes()
+    assert np.isfinite(_counter_gaussians(z, np.empty(z.shape))).all()
 
 
 def test_gaussian_chunk_has_no_cache():
