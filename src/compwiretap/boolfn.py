@@ -60,6 +60,11 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("table values must be finite")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Dense evaluation of a function on all 2**n points of {-1,+1}^n."""
@@ -78,8 +83,7 @@ class TruthTable:
             raise ValueError(
                 f"expected {1 << self.n} values for n={self.n}, "
                 f"got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("table values must be finite")
+        _require_finite(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -584,9 +588,32 @@ def influence_profile(poly: MultilinearPolynomial) -> InfluenceProfile:
     )
 
 
+def _near_pm1(values: np.ndarray) -> bool:
+    return bool(np.all(np.abs(np.abs(values) - 1.0) <= BOOLEAN_TOL))
+
+
 def is_boolean_valued(table: TruthTable) -> bool:
     """True iff every value is within BOOLEAN_TOL of +1 or -1."""
-    return bool(np.all(np.abs(np.abs(table.values) - 1.0) <= BOOLEAN_TOL))
+    return _near_pm1(table.values)
+
+
+def is_boolean_valued_poly(poly: MultilinearPolynomial) -> bool:
+    """``is_boolean_valued(inverse_wht(poly))``, failing as it does on a
+    value that is not finite.  Above 2**16 points it reads each value
+    strip of :func:`_value_strips` as it comes, on the butterfly's
+    worker threads, and never holds the dense table."""
+    if (1 << poly.n) <= _BLOCK:
+        return is_boolean_valued(inverse_wht(poly))
+    flags = []
+
+    def check(c, strip):
+        near = _near_pm1(strip)
+        if not near:
+            _require_finite(strip)
+        flags.append(near)
+
+    _value_strips(poly, check)
+    return all(flags)
 
 
 # ---------------------------------------------------------------------------

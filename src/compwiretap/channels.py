@@ -37,6 +37,10 @@ from .boolfn import (
 #: Distinct function values closer than this are merged into one symbol.
 VALUE_MERGE_TOL = 1e-9
 
+#: Most cells of a dense joint matrix (8 MiB of float64): the channel
+#: views and their output grow with it.
+_MAX_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class WiretapSpec:
@@ -141,9 +145,17 @@ def _cells(rows: np.ndarray, cols: np.ndarray):
 
 def _histogram(rows: np.ndarray, cols: np.ndarray):
     """Merged alphabets and joint of two value arrays on the uniform
-    points: each count over the 2**n points, exact up to 2**53."""
+    points: each count over the 2**n points, exact up to 2**53.
+
+    Raises ``ValueError`` before any matrix exists when the joint would
+    have more than :data:`_MAX_CELLS` cells.
+    """
     row_values, col_values, cells = _cells(rows, cols)
     shape = (len(row_values), len(col_values))
+    if shape[0] * shape[1] > _MAX_CELLS:
+        raise ValueError(
+            f"a dense joint of {shape[0]} by {shape[1]} merged values needs "
+            f"{shape[0] * shape[1]} cells, more than the cap of {_MAX_CELLS}")
     counts = np.bincount(cells, minlength=shape[0] * shape[1])
     return row_values, col_values, counts.reshape(shape) / rows.size
 

@@ -84,8 +84,10 @@ def _load_pair(args) -> channels.WiretapSpec:
 
 def _cmd_analyze(args):
     poly, table = _load_function(args.f, args.n)
-    if table is None:
-        table = boolfn.inverse_wht(poly)
+    # before the other fields, so that values beyond float range fail
+    # as the table's check fails on them
+    boolean = (boolfn.is_boolean_valued(table) if table is not None
+               else boolfn.is_boolean_valued_poly(poly))
     profile = boolfn.influence_profile(poly)
     terms = _Terms(poly)
     report = {
@@ -98,7 +100,7 @@ def _cmd_analyze(args):
         "term_count": boolfn.term_count(poly),
         "influences": [float(v) for v in profile.influences],
         "max_influence": float(profile.max_influence),
-        "boolean_valued": boolfn.is_boolean_valued(table),
+        "boolean_valued": boolean,
     }
     return report, 0
 

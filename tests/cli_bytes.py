@@ -5,7 +5,15 @@
 OLD_SRC and NEW_SRC are ``src`` directories, each holding a
 ``compwiretap`` package.  The script builds the requests of both
 benchmark workloads at seed S with ``perfbench/workloads.py``, writing
-their table files into a temporary directory.  It answers every request
+their table files into a temporary directory, and a third group,
+``extra``, of requests that reach paths neither workload does:
+``moments`` of each distribution at 10^4, 10^5 and 10^6 samples and
+seeds S and S+1; ``analyze`` of a ±1 monomial and of a chain at n = 17,
+20 and 24 (above 2**16 points); and ``channel`` on a pair of n=8 tables
+of distinct values (a 256 x 256 joint) and on a pair of n=11 tables
+whose joint has 1025 x 1024 cells, just over the dense joint cap.  A
+tree without that cap answers the second pair with three 1M-cell
+matrices (a few seconds and a few hundred MB).  It answers every request
 in each output format (``json``, ``pretty`` and ``csv``) through
 ``compwiretap.cli.main`` with each tree, each tree in a fresh process,
 and compares per answer the exit code, the length and sha256 of stdout,
@@ -26,6 +34,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # importing perfbench's modules must leave no __pycache__ there
 sys.dont_write_bytecode = True
@@ -71,6 +81,29 @@ def answers(tree: str, requests_path: str) -> tuple:
     return peak_kib * 1024 / 1e6, result
 
 
+def extra(seed: int, directory: str) -> list:
+    """The argv of each request of the ``extra`` group at ``seed``,
+    without ``--format``; table files are written into ``directory``."""
+    rng = np.random.default_rng(seed)
+    argvs = [["moments", "--dist", dist, "--samples", str(samples),
+              "--seed", str(s)]
+             for dist in workloads.DISTS for samples in (10**4, 10**5, 10**6)
+             for s in (seed, seed + 1)]
+    for n in (17, 20, 24):
+        a, b = sorted(rng.choice(n - 1, 2, replace=False) + 1)
+        argvs.append(["analyze", "--f", f"x{a}*x{b}*x{n}"])
+        argvs.append(["analyze", "--f", workloads._chain(n)[0]])
+    order = rng.permutation(1 << 11)
+    pairs = {"distinct8": rng.standard_normal((2, 1 << 8)),
+             "over_cap11": np.minimum(order, [[1023], [1024]]) * 1.0}
+    for name, (f, g) in pairs.items():
+        f_arg, g_arg = (workloads._write_table(
+            os.path.join(directory, f"{name}_{side}.csv"), values, "csv")
+            for side, values in (("f", f), ("g", g)))
+        argvs.append(["channel", "--f", f_arg, "--g", g_arg])
+    return argvs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -81,13 +114,17 @@ def main(argv=None) -> int:
 
     differences = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in workloads.WORKLOADS:
+        for name in (*workloads.WORKLOADS, "extra"):
             directory = os.path.join(tmp, name)
             os.mkdir(directory)
-            requests = workloads.build(name, args.seed, directory)
-            argvs = [[*workloads.argv_for(request, args.seed, 0, index),
-                      "--format", fmt]
-                     for index, request in enumerate(requests) for fmt in FORMATS]
+            if name == "extra":
+                requests = extra(args.seed, directory)
+            else:
+                requests = [workloads.argv_for(request, args.seed, 0, index)
+                            for index, request in enumerate(
+                                workloads.build(name, args.seed, directory))]
+            argvs = [[*request, "--format", fmt]
+                     for request in requests for fmt in FORMATS]
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(argvs, handle)

@@ -261,6 +261,18 @@ def reference_values(poly: MultilinearPolynomial) -> np.ndarray:
     return reference_butterfly(a)
 
 
+def reference_power_moments(dist, samples: int, seed: int) -> tuple:
+    """``(means, stderrs)`` of ``x ** k`` for k = 1..4 over the draw
+    ``hypothesis_check`` makes, each power through numpy's general
+    ``pow``, one at a time on this thread."""
+    x = np.asarray(dist.sampler(np.random.default_rng(seed), samples),
+                   dtype=np.float64)
+    stats = [(float(np.mean(x ** k)),
+              float(np.std(x ** k, ddof=1) / math.sqrt(samples)))
+             for k in range(1, 5)]
+    return tuple(zip(*stats))
+
+
 def use_workers(monkeypatch, workers: int) -> None:
     """Make the package's thread pools start ``workers`` threads wherever
     a loop has that many tasks, whatever the machine's core count."""

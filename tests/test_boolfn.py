@@ -27,7 +27,7 @@ from compwiretap import (
     variance,
     wht,
 )
-from compwiretap import boolfn, serialize_poly
+from compwiretap import boolfn, parse_poly, serialize_poly
 from helpers import (
     all_points,
     brute_product_coeffs,
@@ -370,6 +370,26 @@ def test_is_boolean_valued():
     assert is_boolean_valued(TruthTable(17, values))
     values[-1] = 1.0 + 2e-9
     assert not is_boolean_valued(TruthTable(17, values))
+
+
+@pytest.mark.parametrize("text, n, expected", [
+    ("x1*x17", 17, True),
+    ("x1 + x17", 17, False),
+    ("x2*x18*x5", 18, True),
+    ("1/20*(" + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 20)) + ")", 20, False),
+    ("-x21*x4", 21, True),
+    ("x1*x22 + 1/1000000000000*x3", 22, True),
+    ("x1*x22 + 1/500000000*x3", 22, False),
+    ("x23 - 2*x23", 23, True),
+    ("x1*x24", 24, True),
+    ("x3*x17*x24", 24, True),
+    ("1/2*(x1 + x24 + x12*x20 - x1*x24*x12*x20)", 24, True),
+    ("1/24*(" + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 24)) + ")", 24, False),
+])
+def test_is_boolean_valued_poly_reads_the_value_strips(text, n, expected):
+    poly = parse_poly(text, n)
+    assert is_boolean_valued(inverse_wht(poly)) is expected
+    assert boolfn.is_boolean_valued_poly(poly) is expected
 
 
 # ---------------------------------------------------------------------------

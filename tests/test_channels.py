@@ -75,6 +75,26 @@ def test_joint_f_equals_g_is_diagonal():
     assert np.all(off_diag == 0)
 
 
+def test_dense_joints_are_capped_at_2_20_cells():
+    # 1024 x 1024 cells, and the noise f - g also has 1024 values
+    at_cap = spec_from_tables(2.0 * np.arange(1024), np.arange(1024), 10)
+    assert joint_distribution(at_cap).probs.shape == (1024, 1024)
+    assert additive_noise(at_cap).joint_u_noise.shape == (1024, 1024)
+    # g has 1025 values, f 1024
+    over = spec_from_tables(np.minimum(np.arange(2048), 1023),
+                            np.minimum(np.arange(2048), 1024), 11)
+    with pytest.raises(ValueError, match=(
+            r"^a dense joint of 1025 by 1024 merged values needs 1049600 "
+            r"cells, more than the cap of 1048576$")):
+        joint_distribution(over)
+    # a 1024 x 2 joint, but the noise f - g has 1026 values
+    noisy = spec_from_tables(np.where(np.arange(2048) % 2, -1.0, 1.0),
+                             np.arange(2048) // 2, 11)
+    assert joint_distribution(noisy).probs.shape == (1024, 2)
+    with pytest.raises(ValueError, match="1024 by 1026 merged values"):
+        additive_noise(noisy)
+
+
 def test_joint_constant_f():
     spec = WiretapSpec.from_polys(
         MultilinearPolynomial(2, {0: 1.0}), parse_poly("x1", declared_n=2))

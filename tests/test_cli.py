@@ -121,17 +121,23 @@ def test_commute_cases(capsys):
     assert code == 0 and report["commutes"] is False
 
 
-def test_commute_on_distinct_valued_n12_tables_holds_no_dense_joint(
-        tmp_path, capsys):
-    # 4096 distinct values on each side: the dense |U| x |V| joint the
-    # parent built took 256 MiB
-    rng = np.random.default_rng(12)
+def _distinct_table_sources(tmp_path, n, seed):
+    """``@file`` sources of two CSV tables of distinct Gaussian values."""
+    rng = np.random.default_rng(seed)
     sources = []
     for name in ("f", "g"):
         path = tmp_path / f"{name}.csv"
         path.write_text("".join(f"{i},{v!r}\n" for i, v in
-                                enumerate(rng.standard_normal(1 << 12).tolist())))
+                                enumerate(rng.standard_normal(1 << n).tolist())))
         sources.append(f"@{path}")
+    return sources
+
+
+def test_commute_on_distinct_valued_n12_tables_holds_no_dense_joint(
+        tmp_path, capsys):
+    # 4096 distinct values on each side: a dense |U| x |V| joint would
+    # take 256 MiB
+    sources = _distinct_table_sources(tmp_path, 12, 12)
     tracemalloc.start()
     try:
         code = main(["commute", "--f", sources[0], "--g", sources[1]])
@@ -488,6 +494,66 @@ def test_json_output_is_byte_stable(capsys):
         code2 = main(argv)
         out2 = capsys.readouterr().out
         assert (code1, out1) == (code2, out2)
+
+
+def test_channel_over_the_joint_cap_exits_1_at_once(tmp_path, capsys):
+    # 4096 x 4096 cells: the dense joint and its channel views, unchecked,
+    # run for minutes and need more memory than most hosts have
+    f, g = _distinct_table_sources(tmp_path, 12, 12)
+    start = time.perf_counter()
+    code = main(["channel", "--f", f, "--g", g])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a dense joint of 4096 by 4096 merged values needs 16777216 "
+        "cells, more than the cap of 1048576\n")
+    assert elapsed < 1.0
+
+
+def test_channel_under_the_joint_cap_answers(tmp_path, capsys):
+    f, g = _distinct_table_sources(tmp_path, 8, 8)
+    code, report = run_json(capsys, ["channel", "--f", f, "--g", g])
+    assert code == 0
+    assert np.shape(report["joint"]["probs"]) == (256, 256)
+    assert report["success_probability"] == 1.0
+
+
+@pytest.mark.parametrize("text, n, expected", [
+    ("x1*x17", 17, True),
+    ("1/20*(" + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 20)) + ")", 20, False),
+    ("x3*x17*x24", 24, True),
+])
+def test_analyze_above_n16_reports_the_boolean_flag(capsys, text, n, expected):
+    code, report = run_json(capsys, ["analyze", "--f", text, "--n", str(n)])
+    assert code == 0 and report["n"] == n
+    assert report["boolean_valued"] is expected
+
+
+@pytest.mark.parametrize("text", ["1e308*x1 + 1e308*x2", "1e308*x1 + 1e308*x20"])
+def test_analyze_values_beyond_float_range_exit_1(capsys, text):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["analyze", "--f", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table values must be finite\n"
+
+
+def test_analyze_n24_holds_no_dense_table(capsys):
+    # the 128 MiB dense table and the ±1 check's temporaries on it, built
+    # for the boolean_valued flag alone, peaked at 384 MiB
+    chain = "1/24*(" + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 24)) + ")"
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--f", chain])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 24 and report["boolean_valued"] is False
+    assert peak < 16 << 20
 
 
 def test_channel_chained_values_exit_1(tmp_path, capsys):

@@ -48,6 +48,7 @@ from helpers import (
     random_boolean_table,
     random_rational_poly,
     reference_gaussian_chunk,
+    reference_power_moments,
     refuse_threads,
     use_workers,
     zchannel_f_poly,
@@ -106,6 +107,74 @@ def test_moments_are_the_same_for_any_worker_count(monkeypatch, name, samples):
         reports.append(repr(hypothesis_check(DISTRIBUTIONS[name], samples,
                                              seed=9).to_dict()))
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_small_integer_powers_equal_running_products(shuffle):
+    # every sample hypothesis_check takes by products: each power up to
+    # the fourth is an exact float, so pow must give the product's bits
+    top = invariance._EXACT_POWER_MAX
+    assert top ** 4 < 2 ** 53
+    v = np.r_[np.arange(-top, top + 1, dtype=np.float64), -0.0]
+    if shuffle:
+        np.random.default_rng(18).shuffle(v)
+    p = v
+    for k in range(1, 5):
+        assert (v ** k).tobytes() == p.tobytes(), k
+        p = p * v
+
+
+def _drawn(name, draw):
+    """A distribution without declared moments whose samples are
+    ``draw(rng, size)`` as floats."""
+    return InputDistribution(
+        name, lambda rng, size: np.asarray(draw(rng, size), dtype=np.float64))
+
+
+def _with(draw, index, value):
+    """``draw`` with sample ``index`` set to ``value``."""
+    def sampler(rng, size):
+        x = np.asarray(draw(rng, size), dtype=np.float64)
+        x[index] = value
+        return x
+    return sampler
+
+
+def _signs(rng, size):
+    return rng.integers(0, 2, size) * 2.0 - 1.0
+
+
+_EDGE_DISTRIBUTIONS = [
+    _drawn("pm3", lambda rng, size: rng.integers(-3, 4, size)),
+    _drawn("pm8192", lambda rng, size: _signs(rng, size) * 8192),
+    _drawn("pm8193", lambda rng, size: _signs(rng, size) * 8193),
+    _drawn("wide", lambda rng, size: rng.integers(-8192, 8193, size)),
+    _drawn("one_8193", _with(lambda rng, size: rng.integers(-3, 4, size),
+                             -1, -8193.0)),
+    _drawn("one_half", _with(lambda rng, size: rng.integers(-3, 4, size),
+                             -1, 0.5)),
+    _drawn("head_integer", _with(lambda rng, size: rng.standard_normal(size),
+                                 0, 1.0)),
+    _drawn("signed_zeros", lambda rng, size: rng.integers(-1, 2, size) * -0.0),
+    _drawn("strided", lambda rng, size: (rng.integers(-3, 4, 2 * size) * 1.0)[::2]),
+    _drawn("nan_tail", _with(lambda rng, size: rng.integers(-3, 4, size),
+                             -1, np.nan)),
+    _drawn("inf_tail", _with(lambda rng, size: rng.integers(-3, 4, size),
+                             -1, -np.inf)),
+]
+
+
+@pytest.mark.parametrize("dist", [DISTRIBUTIONS[name] for name in sorted(DISTRIBUTIONS)]
+                         + _EDGE_DISTRIBUTIONS, ids=lambda dist: dist.name)
+@pytest.mark.parametrize("samples", [10_000, 12_347, 99_999, 100_000])
+def test_moments_equal_the_pow_reference(dist, samples):
+    for seed in (0, 18):
+        report = hypothesis_check(dist, samples, seed=seed)
+        # repr tells every float apart by its bits
+        assert repr((report.empirical_moments, report.empirical_stderrs)) \
+            == repr(reference_power_moments(dist, samples, seed))
+        if dist.exact_moments is None:
+            assert repr(report.moments) == repr(report.empirical_moments)
 
 
 def test_moments_on_one_core_start_no_thread(monkeypatch):
