@@ -74,11 +74,7 @@ class WiretapSpec:
         A given table is kept when its function is not lifted; every
         missing table is built once by ``inverse_wht``.
         """
-        n = max(f.n, g.n)
-        if f.n != n:
-            f, f_table = f.with_n(n), None
-        if g.n != n:
-            g, g_table = g.with_n(n), None
+        f, g, f_table, g_table = lift_pair(f, g, f_table, g_table)
         return cls(inverse_wht(f) if f_table is None else f_table,
                    inverse_wht(g) if g_table is None else g_table, f, g)
 
@@ -87,6 +83,19 @@ class WiretapSpec:
         if f.n != g.n:
             raise ValueError(f"f and g must share n, got {f.n} and {g.n}")
         return cls(f, g, wht(f), wht(g))
+
+
+def lift_pair(f: MultilinearPolynomial, g: MultilinearPolynomial,
+              f_table: TruthTable | None = None,
+              g_table: TruthTable | None = None) -> tuple:
+    """``(f, g, f_table, g_table)`` with both functions on their common n.
+    A lifted function's table becomes None."""
+    n = max(f.n, g.n)
+    if f.n != n:
+        f, f_table = f.with_n(n), None
+    if g.n != n:
+        g, g_table = g.with_n(n), None
+    return f, g, f_table, g_table
 
 
 def _plain(value, skip=()):

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -72,10 +73,27 @@ def _load_function(source: str, declared_n: int | None):
     return funcdsl.parse_poly(source, declared_n), None
 
 
-def _load_pair(args) -> channels.WiretapSpec:
+def _load_functions(args) -> tuple:
+    """``(f, g, f_table, g_table)`` of --f and --g, lifted to a common n
+    by ``channels.lift_pair``."""
     f_poly, f_table = _load_function(args.f, args.n)
     g_poly, g_table = _load_function(args.g, args.n)
-    return channels.WiretapSpec.from_polys(f_poly, g_poly, f_table, g_table)
+    return channels.lift_pair(f_poly, g_poly, f_table, g_table)
+
+
+def _load_pair(args) -> channels.WiretapSpec:
+    return channels.WiretapSpec.from_polys(*_load_functions(args))
+
+
+def _boolean_table(poly, table) -> tuple:
+    """``(whether the function is ±1-valued, its table)``.  The table is
+    the given one, or built when it has at most 2**16 points; above that
+    it stays None and the flag is read from the polynomial without it.
+    Values beyond float range fail as the table's check fails on them."""
+    if table is None and (1 << poly.n) <= boolfn._BLOCK:
+        table = boolfn.inverse_wht(poly)
+    return (boolfn.is_boolean_valued(table) if table is not None
+            else boolfn.is_boolean_valued_poly(poly)), table
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +104,12 @@ def _cmd_analyze(args):
     poly, table = _load_function(args.f, args.n)
     # before the other fields, so that values beyond float range fail
     # as the table's check fails on them
-    boolean = (boolfn.is_boolean_valued(table) if table is not None
-               else boolfn.is_boolean_valued_poly(poly))
+    boolean, _ = _boolean_table(poly, table)
     profile = boolfn.influence_profile(poly)
     terms = _Terms(poly)
     report = {
         "n": poly.n,
-        "expression": terms.expression(),
+        "expression": _Text(terms.expression()),
         "terms": terms,
         "mean": float(profile.mean),
         "variance": float(profile.variance),
@@ -105,6 +122,12 @@ def _cmd_analyze(args):
     return report, 0
 
 
+class _Text(str):
+    """A canonical polynomial text in a report.  It holds only digits,
+    ``x*/+-.e`` and spaces, so its JSON form is the text in quotes, which
+    ``_render`` writes without escaping it."""
+
+
 class _Terms:
     """analyze's term list, kept as the canonical term arrays until it is
     rendered.
@@ -114,17 +137,14 @@ class _Terms:
     coefficient.  ``expression`` is ``serialize_poly`` of the polynomial,
     from the same arrays.  ``dicts`` gives the rows that pretty and csv
     output print; ``json`` writes the text ``json.dumps(..., sort_keys=True,
-    indent=2)`` gives for the same list as a top-level value, one
-    templated row per term, since the C encoder does not run with
+    indent=2)`` gives for the same list as the value of a top-level key,
+    from whole-array pieces, since the C encoder does not run with
     ``indent``.
     """
 
-    # per mask byte, its variables' lines, each a separator and an index,
-    # made from the byte's monomial name such as "*x9*x11"
-    _LINES = tuple(
-        np.array([name.replace("*x", ",\n        ") for name in names],
-                 dtype=object)
-        for names in funcdsl._NAMES)
+    # per mask byte, its variables' lines, each a separator and an index
+    _LINES = funcdsl._piece_tables(",\n        {}".format)
+    _MINUS = np.array(["", "-"], dtype=object)
 
     def __init__(self, poly):
         (self.masks, values, self.negative,
@@ -144,7 +164,8 @@ class _Terms:
                     self.negative.tolist(), self.texts[self.which].tolist())]
 
     def json(self) -> str:
-        if not self.masks.size:
+        count = self.masks.size
+        if not count:
             return "[]"
         # per entry of texts, its float repr; a text with a point or an
         # exponent is already its float's repr.  An exact text holds only
@@ -156,29 +177,40 @@ class _Terms:
             [text if "." in text or "e" in text else repr(mag)
              for text, mag in zip(texts, mags.tolist())],
             dtype=object)[self.which]
-        sign = np.signbit(self.floats)
-        coefficients[sign] = "-" + coefficients[sign]
-        exact = self.texts[self.which]
-        exact[self.negative] = "-" + exact[self.negative]
-        # only the constant term, first in canonical order, has no lines
-        variables = [f"[{lines[1:]}\n      ]" if lines else "[]" for lines in
-                     funcdsl._by_bytes(self._LINES, self.masks).tolist()]
-        rows = ",\n".join([
-            f'    {{\n      "coefficient": {coefficient},\n'
-            f'      "exact": "{text}",\n      "variables": {lines}\n    }}'
-            for coefficient, text, lines in zip(
-                coefficients.tolist(), exact.tolist(), variables)])
-        return f"[\n{rows}\n  ]"
+        # a row's pieces: the separator, the coefficient's sign and
+        # magnitude, the exact text's sign and magnitude, a line of
+        # variables per mask byte in use (the first without its comma)
+        # and the row's end.  A nonzero value and its float, -0.0
+        # included, have the same sign.
+        minus = self._MINUS.take(self.negative).tolist()
+        columns = [
+            [',\n    {\n      "coefficient": '] * count,
+            minus,
+            coefficients.tolist(),
+            [',\n      "exact": "'] * count,
+            minus,
+            self.texts[self.which].tolist(),
+            ['",\n      "variables": ['] * count,
+            *funcdsl._byte_pieces(self._LINES, self.masks, self.masks != 0),
+            ["\n      ]\n    }"] * count]
+        parts = funcdsl._interleave(columns)
+        parts[0] = '[\n    {\n      "coefficient": '
+        if not self.masks[0]:
+            # only the constant term, first in canonical order, has no
+            # variables
+            parts[len(columns) - 1] = "]\n    }"
+        parts.append("\n  ]")
+        return "".join(parts)
 
 
 def _pair_report(spec, **fields) -> dict:
     """A pair answer: n and the canonical f and g, then its own fields."""
-    return {"n": spec.n, "f": funcdsl.serialize_poly(spec.f_poly),
-            "g": funcdsl.serialize_poly(spec.g_poly), **fields}
+    return {"n": spec.n, "f": _Text(funcdsl.serialize_poly(spec.f_poly)),
+            "g": _Text(funcdsl.serialize_poly(spec.g_poly)), **fields}
 
 
 def _noise_dict(model) -> dict:
-    return {**model.to_dict(), "poly": funcdsl.serialize_poly(model.poly)}
+    return {**model.to_dict(), "poly": _Text(funcdsl.serialize_poly(model.poly))}
 
 
 def _cmd_channel(args):
@@ -223,17 +255,21 @@ def _cmd_invariance(args):
             bounds_info["kind"] = "basic"
         bounds_info["eps"] = float(eps)
     else:
-        spec = _load_pair(args)
-        f_poly, g_poly = spec.f_poly, spec.g_poly
-        try:
-            bound = invariance.multiplicative_bound(spec, c4)
-        except PreconditionError:
+        f_poly, g_poly, f_table, g_table = _load_functions(args)
+        # both flags, so that either function's values beyond float range
+        # fail as its table would; a table above 2**16 points is built
+        # only for a ±1 pair
+        (f_boolean, f_table), (g_boolean, g_table) = (
+            _boolean_table(f_poly, f_table), _boolean_table(g_poly, g_table))
+        if not (f_boolean and g_boolean):
             mode = "additive"
             target = boolfn.sub(f_poly, g_poly)
             bound = invariance.additive_bound(f_poly, g_poly, c4)
             bounds_info["kind"] = "additive"
             bounds_info["k"] = invariance.pair_degree(f_poly, g_poly)
         else:
+            spec = channels.WiretapSpec.from_polys(f_poly, g_poly, f_table, g_table)
+            bound = invariance.multiplicative_bound(spec, c4)
             # The product is built once for the noise and the variant's k.
             mode = "multiplicative"
             target = boolfn.mul(f_poly, g_poly)
@@ -262,7 +298,7 @@ def _cmd_invariance(args):
     report = {
         "mode": mode,
         "n": target.n,
-        "noise": funcdsl.serialize_poly(target),
+        "noise": _Text(funcdsl.serialize_poly(target)),
         "bound_info": bounds_info,
         **result.to_dict(),
     }
@@ -326,17 +362,50 @@ def _csv_rows(obj, prefix, rows):
         rows.append([prefix, obj])
 
 
+def _placeholders(report: dict, values: list) -> dict:
+    """``report`` with each ``_Text`` and ``_Terms`` value of its dicts
+    replaced by a placeholder ``"\\0<i>"``, the value appended to
+    ``values`` at index i.  No other report string holds a NUL."""
+    out = dict(report)
+    for key, value in report.items():
+        kind = type(value)
+        if kind is dict:
+            out[key] = _placeholders(value, values)
+        elif kind is _Text or kind is _Terms:
+            values.append(value)
+            out[key] = f"\0{len(values) - 1}"
+    return out
+
+
+#: A placeholder as ``json.dumps`` writes it: its quotes and its index
+#: captured.
+_PLACEHOLDER_RE = re.compile(r'(")\\u0000(\d+)(")')
+
+
+def _render_json(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)`` of the report with
+    ``_Text`` as plain strings and ``_Terms`` as their rows, and a line
+    break.  The report is dumped once with placeholders, and each
+    already rendered value is spliced in for its placeholder."""
+    values = []
+    parts = _PLACEHOLDER_RE.split(
+        json.dumps(_placeholders(report, values), sort_keys=True, indent=2))
+    for i in range(2, len(parts), 4):
+        value = values[int(parts[i])]
+        if isinstance(value, _Terms):  # a list, without the quotes
+            parts[i - 1:i + 2] = "", value.json(), ""
+        else:
+            parts[i] = value
+    parts.append("\n")
+    return "".join(parts)
+
+
 def _render(report: dict, fmt: str) -> str:
+    if fmt == "json":
+        return _render_json(report)
     terms = report.get("terms")
     if isinstance(terms, _Terms):
-        if fmt == "json":
-            text = json.dumps({**report, "terms": []}, sort_keys=True, indent=2)
-            # a line of two spaces and a quoted name is a top-level key
-            head, _, tail = text.partition('\n  "terms": []')
-            return f'{head}\n  "terms": {terms.json()}{tail}\n'
         report = {**report, "terms": terms.dicts()}
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if fmt == "pretty":
         return "\n".join(_pretty_lines(report, 0, [])) + "\n"
     if fmt == "csv":

@@ -7,20 +7,32 @@ OLD_SRC and NEW_SRC are ``src`` directories, each holding a
 benchmark workloads at seed S with ``perfbench/workloads.py``, writing
 their table files into a temporary directory, and a third group,
 ``extra``, of requests that reach paths neither workload does:
-``moments`` of each distribution at 10^4, 10^5 and 10^6 samples and
-seeds S and S+1; ``analyze`` of a ±1 monomial and of a chain at n = 17,
-20 and 24 (above 2**16 points); and ``channel`` on a pair of n=8 tables
-of distinct values (a 256 x 256 joint) and on a pair of n=11 tables
-whose joint has 1025 x 1024 cells, just over the dense joint cap.  A
-tree without that cap answers the second pair with three 1M-cell
-matrices (a few seconds and a few hundred MB).  It answers every request
-in each output format (``json``, ``pretty`` and ``csv``) through
-``compwiretap.cli.main`` with each tree, each tree in a fresh process,
-and compares per answer the exit code, the length and sha256 of stdout,
-and stderr.  It prints every difference and, per workload, the
-difference count and each tree's peak RSS (``ru_maxrss`` of the process
-that answered), and exits 1 if there is a difference, 0 otherwise.  Sampled requests get the seed the
-benchmark's first pass gives them.
+
+* ``moments`` of each distribution at 10^4, 10^5 and 10^6 samples and
+  seeds S and S+1;
+* ``analyze`` of a ±1 monomial and of a chain at n = 17, 20 and 24
+  (above 2**16 points);
+* ``channel`` on a pair of n=8 tables of distinct values (a 256 x 256
+  joint) and on a pair of n=11 tables whose joint has 1025 x 1024
+  cells, just over the dense joint cap (a tree without that cap answers
+  it with three 1M-cell matrices, a few seconds and a few hundred MB);
+* ``invariance`` on the n=24 chain against the n=24 sum (a tree that
+  builds the pair's tables for its ±1 check peaks at about 600 MB);
+* ``analyze``, ``lemmas`` and ``invariance`` on a seed-drawn pair with
+  ±1 coefficients on x9..x24, the first term of f a negative constant
+  (``lemmas`` is the lightest answer that writes both texts of an n=24
+  pair, about 600 MB);
+* ``analyze`` and ``commute`` on a pair of dense n=14 tables of
+  3-decimal values, with many distinct magnitudes.
+
+It answers every request in each output format (``json``, ``pretty``
+and ``csv``) through ``compwiretap.cli.main`` with each tree, each tree
+in a fresh process, and compares per answer the exit code, the length
+and sha256 of stdout, and stderr.  It prints every difference and, per
+workload, the difference count and each tree's peak RSS (``ru_maxrss``
+of the process that answered), and exits 1 if there is a difference, 0
+otherwise.  Sampled requests get the seed the benchmark's first pass
+gives them.
 
 No process writes bytecode, so nothing is left under ``perfbench/`` or
 either tree.  This is a script, not a collected test: a refactor that
@@ -101,6 +113,25 @@ def extra(seed: int, directory: str) -> list:
             os.path.join(directory, f"{name}_{side}.csv"), values, "csv")
             for side, values in (("f", f), ("g", g)))
         argvs.append(["channel", "--f", f_arg, "--g", g_arg])
+    argvs.append(["invariance", "--f", workloads._chain(24)[0],
+                  "--g", workloads._sum(24)[0], "--samples", "10000"])
+
+    def pm1_terms(first):
+        terms = [first]
+        for _ in range(6):
+            size = rng.integers(1, 4)
+            variables = sorted(rng.choice(np.arange(9, 25), size, replace=False))
+            terms += ["-" if rng.integers(2) else "+",
+                      "*".join(f"x{v}" for v in variables)]
+        return " ".join(terms)
+
+    f, g = pm1_terms("-1"), pm1_terms("x17*x24")
+    argvs += [["analyze", "--f", f], ["lemmas", "--f", f, "--g", g],
+              ["invariance", "--f", f, "--g", g, "--samples", "10000"]]
+    f_arg, g_arg = (workloads._write_table(
+        os.path.join(directory, f"decimal14_{side}.csv"), values, "csv")
+        for side, values in zip("fg", np.round(rng.standard_normal((2, 1 << 14)), 3)))
+    argvs += [["analyze", "--f", f_arg], ["commute", "--f", f_arg, "--g", g_arg]]
     return argvs
 
 

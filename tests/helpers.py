@@ -530,6 +530,26 @@ def reference_serialize_poly(poly) -> str:
     return "".join(parts)
 
 
+def reference_join_terms(masks, negative, texts, which) -> str:
+    """``funcdsl._join_terms`` as the per-term loop it was: per term its
+    sign, then its magnitude and its variables' names, a magnitude 1
+    before a name dropped with the name's ``*``."""
+    if not masks.size:
+        return "0"
+    negative = negative.tolist()
+    parts = []
+    for neg, mag, mask in zip(negative, texts[which].tolist(), masks.tolist()):
+        name = "".join(f"*x{j + 1}" for j in range(mask.bit_length()) if mask >> j & 1)
+        parts.append(" - " if neg else " + ")
+        if mag == "1" and name:
+            parts.append(name[1:])
+        else:
+            parts.append(mag)
+            parts.append(name)
+    parts[0] = "-" if negative[0] else ""
+    return "".join(parts)
+
+
 class DictPolynomial:
     """The dict-backed polynomial that the array core replaced, kept as
     an oracle.

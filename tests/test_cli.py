@@ -556,6 +556,37 @@ def test_analyze_n24_holds_no_dense_table(capsys):
     assert peak < 16 << 20
 
 
+def test_invariance_pair_that_is_not_pm1_holds_no_dense_table(capsys):
+    # neither the 1/24 chain nor the 1/24 sum is ±1, so the additive bound
+    # needs no table; the pair's two n=24 tables and the ±1 check's
+    # temporaries on them peaked at 512 MiB
+    chain = "1/24*(" + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 24)) + ")"
+    total = "1/24*(" + " + ".join(f"x{i}" for i in range(1, 25)) + ")"
+    tracemalloc.start()
+    try:
+        code = main(["invariance", "--f", chain, "--g", total, "--samples", "10000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 24 and report["mode"] == "additive"
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("f, g, mode", [
+    ("x1*x17", "x2*x17", "multiplicative"),
+    ("1", "1/4*x2*x17", "additive"),  # a ±1 constant, lifted to n = 17
+    ("1/4*(x1 + x17)", "-1", "additive"),
+    ("1/4*(x1 + x17)", "1/4*x2*x17", "additive"),
+])
+def test_invariance_pair_above_n16_takes_the_mode_of_its_pm1_flags(capsys, f, g, mode):
+    code, report = run_json(capsys, [
+        "invariance", "--f", f, "--g", g, "--samples", "2000"])
+    assert code == 0 and report["n"] == 17
+    assert report["mode"] == mode
+
+
 def test_channel_chained_values_exit_1(tmp_path, capsys):
     # 0, 0.8e-9 and 1.6e-9 sit within the tolerance of their neighbours
     # but span more than it, so they cannot be read as one symbol
