@@ -85,12 +85,13 @@ def _load_pair(args) -> channels.WiretapSpec:
     return channels.WiretapSpec.from_polys(*_load_functions(args))
 
 
-def _boolean_table(poly, table) -> tuple:
+def _boolean_table(poly, table, build=False) -> tuple:
     """``(whether the function is ±1-valued, its table)``.  The table is
-    the given one, or built when it has at most 2**16 points; above that
-    it stays None and the flag is read from the polynomial without it.
-    Values beyond float range fail as the table's check fails on them."""
-    if table is None and (1 << poly.n) <= boolfn._BLOCK:
+    the given one, or built when it has at most 2**16 points or ``build``
+    is set; otherwise it stays None and the flag is read from the
+    polynomial without it.  Values beyond float range fail as the
+    table's check fails on them."""
+    if table is None and (build or (1 << poly.n) <= boolfn._BLOCK):
         table = boolfn.inverse_wht(poly)
     return (boolfn.is_boolean_valued(table) if table is not None
             else boolfn.is_boolean_valued_poly(poly)), table
@@ -257,10 +258,10 @@ def _cmd_invariance(args):
     else:
         f_poly, g_poly, f_table, g_table = _load_functions(args)
         # both flags, so that either function's values beyond float range
-        # fail as its table would; a table above 2**16 points is built
-        # only for a ±1 pair
-        (f_boolean, f_table), (g_boolean, g_table) = (
-            _boolean_table(f_poly, f_table), _boolean_table(g_poly, g_table))
+        # fail as its table would.  Once f is ±1, g's table is what a ±1
+        # pair's spec needs, so it is built for g's check
+        f_boolean, f_table = _boolean_table(f_poly, f_table)
+        g_boolean, g_table = _boolean_table(g_poly, g_table, build=f_boolean)
         if not (f_boolean and g_boolean):
             mode = "additive"
             target = boolfn.sub(f_poly, g_poly)

@@ -325,38 +325,15 @@ def serialize_poly(poly: MultilinearPolynomial) -> str:
     return _join_terms(masks, negative, texts, which)
 
 
-#: Fewer terms than this are joined one term at a time: the dozen
-#: whole-array steps of ``_join_pieces`` cost more (on a shared 2-core
-#: x86-64 machine, about 9 us against 3 us per text for the few-term
-#: exact texts of the worked examples; the two meet near 24 terms).
-_FEW_TERMS = 24
-
-
 def _join_terms(masks, negative, texts, which) -> str:
-    """``serialize_poly``'s text from the arrays of ``canonical_terms``:
-    per term its sign, then its magnitude and its variables' names, a
-    magnitude 1 before a name dropped with the name's ``*``."""
-    if not masks.size:
-        return "0"
-    if masks.size >= _FEW_TERMS:
-        return _join_pieces(masks, negative, texts, which)
-    parts = []
-    for neg, mag, mask in zip(negative.tolist(), texts[which].tolist(),
-                              masks.tolist()):
-        name = (_NAMES[0][mask & 255] + _NAMES[1][mask >> 8 & 255]
-                + _NAMES[2][mask >> 16])
-        parts += ((" - " if neg else " + ", name[1:]) if mag == "1" and name
-                  else (" - " if neg else " + ", mag, name))
-    parts[0] = "-" if negative[0] else ""
-    return "".join(parts)
-
-
-def _join_pieces(masks, negative, texts, which) -> str:
-    """``_join_terms`` of a nonempty polynomial from whole-array pieces.
+    """``serialize_poly``'s text from the arrays of ``canonical_terms``,
+    built from whole-array pieces.
 
     Each term is a row of pieces: its sign, its magnitude, then its
     variables' names, one piece per mask byte in use.  A magnitude 1 of
     a term with variables is dropped with the ``*`` after it."""
+    if not masks.size:
+        return "0"
     bare = (texts == "1")[which]
     bare[0] &= masks[0] != 0  # only the first term can be the constant
     mags = texts[which]

@@ -587,6 +587,20 @@ def test_invariance_pair_above_n16_takes_the_mode_of_its_pm1_flags(capsys, f, g,
     assert report["mode"] == mode
 
 
+def test_invariance_pm1_pair_above_n16_reads_one_flag_from_the_polynomial(
+        monkeypatch, capsys):
+    # f's flag comes from its polynomial; once f is ±1, g's is read from
+    # the table the spec keeps, and no table is built twice
+    flags = _count_calls(monkeypatch, "is_boolean_valued_poly", [boolfn])
+    tables = _count_calls(monkeypatch, "inverse_wht",
+                          [boolfn, channels, invariance])
+    code, report = run_json(capsys, [
+        "invariance", "--f", "x1*x17", "--g", "x2*x17", "--samples", "2000"])
+    assert code == 0 and report["mode"] == "multiplicative"
+    assert len(flags) == 1
+    assert len(tables) == 2
+
+
 def test_channel_chained_values_exit_1(tmp_path, capsys):
     # 0, 0.8e-9 and 1.6e-9 sit within the tolerance of their neighbours
     # but span more than it, so they cannot be read as one symbol

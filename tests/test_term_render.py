@@ -140,7 +140,7 @@ JOIN_EXAMPLES = [
                                (1 << 20) | (1 << 9): Fraction(1), 5: 1}),
     MultilinearPolynomial(24, {0: -0.30000000000000004, 0xFFFFFF: 1.0,
                                0xFF0000: -1.0, 0x00FF00: 1.0000000000000002}),
-    # above the few-term cutoff: 48 terms over all three bytes
+    # 48 terms over all three bytes
     MultilinearPolynomial(24, {m * 0x050301: Fraction((-1) ** m, 1 + m % 3)
                                for m in range(48)}),
 ]
@@ -158,9 +158,6 @@ def _with_examples(test):
 def test_join_from_pieces_matches_the_per_term_loop(poly):
     masks, _, negative, texts, which = funcdsl.canonical_terms(poly)
     want = reference_join_terms(masks, negative, texts, which)
-    if masks.size:  # the few-term join takes the zero polynomial
-        assert funcdsl._join_pieces(masks, negative, texts, which) == want
-    # below and above the few-term cutoff
     assert funcdsl._join_terms(masks, negative, texts, which) == want
     assert funcdsl.serialize_poly(poly) == want == reference_serialize_poly(poly)
 
