@@ -19,8 +19,9 @@ Two concrete formats:
   arithmetic and returns the fully expanded multilinear normal form:
   products distributed, powers reduced by x_i**2 -> 1, like terms merged.
   Expansion uses ``mul``'s coefficient convolution, ``boolfn._convolve``,
-  on ``{mask: Fraction}`` dicts; each product, and all the products of
-  one expression together, are capped by pair count.
+  on ``{mask: Fraction}`` dicts, except that a product with a variable
+  XORs each mask with the variable's; each product, and all the products
+  of one expression together, are capped by pair count.
 
 * A truth-table file, either CSV (a ``# n=<k>`` comment line, an
   ``index,value`` header, then one row per point) or a JSON object
@@ -30,6 +31,7 @@ Two concrete formats:
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -150,7 +152,13 @@ class _Parser:
             if self.pairs > _MAX_PARSE_PAIRS:
                 raise ValueError(f"exact products of the expression exceed the "
                                  f"cap of {_MAX_PARSE_PAIRS} term pairs in all")
-            poly = {m: v for m, v in _convolve(poly.items(), rhs.items()).items() if v}
+            if len(rhs) == 1 and 1 in rhs.values():
+                # times a variable: XOR with one mask is a bijection, so
+                # no two terms meet and every value stays as it is
+                [mk] = rhs
+                poly = {m ^ mk: v for m, v in poly.items()}
+            else:
+                poly = {m: v for m, v in _convolve(poly.items(), rhs.items()).items() if v}
         return _convolve(poly.items(), ((0, -1),)) if negate else poly
 
     def factor(self) -> dict:
@@ -350,17 +358,19 @@ def _join_terms(masks, negative, texts, which) -> str:
 
 _N_RE = re.compile(r"n\s*=\s*(\d+)")
 
-# A data row ``index,decimal`` as the fast path reads it: ASCII digits,
-# an index that fits int64, a signed decimal with an exponent of at most
-# 3 digits, no space inside.
-_PLAIN_ROW = rf"\d{{1,18}},[+-]?{_DECIMAL}(?:[eE][+-]?\d{{1,3}})?"
 #: The first line that begins with a digit: where plain data rows start.
-_FIRST_ROW_RE = re.compile(r"^[ \t]*\d", re.ASCII | re.MULTILINE)
-#: Plain data rows, one to a line, with blank lines allowed between.  A
-#: row holds no line break, so no match gives a row back: the possessive
-#: repeat keeps no backtracking state per row, and the match is linear.
-_PLAIN_ROWS_RE = re.compile(
-    rf"[ \t]*{_PLAIN_ROW}(?:[ \t]*[\n\r\v\f]\s*{_PLAIN_ROW})*+\s*", re.ASCII)
+#: A line starts after a newline or a lone carriage return.
+_FIRST_ROW_RE = re.compile(r"(?:^|(?<=\r))[ \t]*\d", re.ASCII | re.MULTILINE)
+#: The bytes a plain data row may hold.
+_PLAIN_BYTES = b"0123456789,.eE+- \t\n\r"
+#: A ``bytes.translate`` table of the classes of a plain row's bytes: a
+#: digit reads as 0, a sign as +, an exponent mark as e and a line break
+#: as a newline.
+_ROW_CLASSES = bytes.maketrans(b"123456789E-\r", b"000000000e+\n")
+#: An exponent of 4 or more digits, in those classes.
+_LONG_EXPONENT_RE = re.compile(rb"e\+?0000")
+#: Each data row's index and value, as the fast path reads them.
+_ROW_DTYPE = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
 def _parse_first_field(field: str, n: int, lineno: int) -> int:
@@ -464,28 +474,60 @@ def _table_n(n: int | None, count: int) -> int:
     return n
 
 
+def _plain_body(body: str) -> bool:
+    """Whether numpy's text reader reads each row of ``body`` as the
+    row-by-row reader does, wherever it reads the row at all.
+
+    Such a body is ASCII and holds only digits, ``, . e E + -``, spaces,
+    tabs and line breaks.  No index field is signed: the row-by-row
+    reader reads ``+1``/``-1`` as a ±1 point or refuses it, and ``-0``
+    as neither.  No exponent has 4 digits, and no index field has more
+    digits than ``int`` converts from text: the row-by-row reader
+    refuses both.
+    """
+    if not body.isascii():
+        return False
+    data = body.encode()
+    if data.translate(None, _PLAIN_BYTES):
+        return False
+    # spaces and tabs are dropped, so an index field is what follows a
+    # line break
+    classes = b"\n" + data.translate(_ROW_CLASSES, b" \t")
+    codes = np.frombuffer(classes, np.uint8)
+    limit = sys.get_int_max_str_digits()
+    return not (np.any((codes[1:] == ord("+")) & (codes[:-1] == ord("\n")))
+                or _LONG_EXPONENT_RE.search(classes)
+                or limit and b"\n" + b"0" * (limit + 1) in classes)
+
+
 def _parse_plain_rows(text: str) -> TruthTable | None:
     """The table of a file whose data rows are all plain, else None.
 
     A plain file is header, comment and blank lines followed by data rows
-    ``index,decimal``, one to a line, with blank lines between.  Its
-    values are read by ``float``, which rounds a decimal correctly, as
+    ``index,decimal``, one to a line, with empty lines between, that
+    ``_plain_body`` admits and numpy's C text reader reads.  That reader
+    converts a value as ``float`` does, rounding a decimal correctly, as
     ``float(Fraction(s))`` does; -0 is stored as +0.0, since a Fraction
     has no sign of zero.  Any file this path declines (a value out of
-    float range, an index out of range, duplicated or missing) goes to
-    the row-by-row reader, which reports the error.
+    float range, an index out of range, duplicated or missing, a row the
+    reader refuses) goes to the row-by-row reader, which reports the
+    error.
     """
     first = _FIRST_ROW_RE.search(text)
     if first is None:
         return None
     n, rows = _split_lines(text[:first.start()].splitlines())
     body = text[first.start():]
-    if rows or not _PLAIN_ROWS_RE.fullmatch(body):
+    if rows or not _plain_body(body):
         return None
-    fields = body.replace(",", " ").split()
-    n = _table_n(n, len(fields) // 2)
-    index = np.array(fields[0::2], dtype=np.int64)
-    values = np.array(fields[1::2], dtype=np.float64)
+    try:
+        # newline=None reads \r\n and a lone \r as line breaks
+        read = np.loadtxt(io.StringIO(body, newline=None), dtype=_ROW_DTYPE,
+                          delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    n = _table_n(n, read.size)
+    index, values = read["index"], read["value"]
     if (index.max() >= 1 << n or not np.all(np.bincount(index) == 1)
             or not np.all(np.isfinite(values))):
         return None
@@ -495,10 +537,8 @@ def _parse_plain_rows(text: str) -> TruthTable | None:
     return TruthTable(n, table)
 
 
-def _parse_table_csv(text: str) -> TruthTable:
-    table = _parse_plain_rows(text)
-    if table is not None:
-        return table
+def _parse_rows(text: str) -> TruthTable:
+    """The table of a CSV file, read one row at a time."""
     n, rows = _split_lines(text.splitlines())
     n = _table_n(n, len(rows))
     values = np.full(1 << n, np.nan)
@@ -511,6 +551,11 @@ def _parse_table_csv(text: str) -> TruthTable:
             raise ParseError(f"line {lineno}: duplicate index {index}")
         values[index] = _parse_value(fields[1], lineno)
     return TruthTable(n, values)
+
+
+def _parse_table_csv(text: str) -> TruthTable:
+    table = _parse_plain_rows(text)
+    return _parse_rows(text) if table is None else table
 
 
 def _parse_table_json(text: str) -> TruthTable:

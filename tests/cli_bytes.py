@@ -23,7 +23,12 @@ their table files into a temporary directory, and a third group,
   (``lemmas`` is the lightest answer that writes both texts of an n=24
   pair, about 600 MB);
 * ``analyze`` and ``commute`` on a pair of dense n=14 tables of
-  3-decimal values, with many distinct magnitudes.
+  3-decimal values, with many distinct magnitudes;
+* ``analyze`` and ``channel`` on a pair of quarter-valued n=14 CSV
+  tables written with CRLF line breaks, with lone-CR line breaks, with
+  ``i, v`` rows and with permuted rows;
+* ``analyze`` of an n=1 CSV table of ``+1``/``-1`` point rows, and of
+  one with a 4-digit exponent (exit code 1).
 
 It answers every request in each output format (``json``, ``pretty``
 and ``csv``) through ``compwiretap.cli.main`` with each tree, each tree
@@ -132,6 +137,27 @@ def extra(seed: int, directory: str) -> list:
         os.path.join(directory, f"decimal14_{side}.csv"), values, "csv")
         for side, values in zip("fg", np.round(rng.standard_normal((2, 1 << 14)), 3)))
     argvs += [["analyze", "--f", f_arg], ["commute", "--f", f_arg, "--g", g_arg]]
+
+    def write_csv(name, rows, newline="\n"):
+        path = os.path.join(directory, f"{name}.csv")
+        n = len(rows).bit_length() - 1
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(newline.join([f"# n={n}", "index,value", *rows, ""]))
+        return "@" + path
+
+    pair = (rng.integers(-4, 5, (2, 1 << 14)) / 4.0).tolist()
+    in_order = range(1 << 14)
+    variants = {"crlf": ("{},{!r}", "\r\n", in_order),
+                "cr": ("{},{!r}", "\r", in_order),
+                "spaced": ("{}, {!r}", "\n", in_order),
+                "permuted": ("{},{!r}", "\n", rng.permutation(1 << 14).tolist())}
+    for name, (row, newline, indices) in variants.items():
+        f_arg, g_arg = (write_csv(f"{name}14_{side}",
+                                  [row.format(i, values[i]) for i in indices], newline)
+                        for side, values in zip("fg", pair))
+        argvs += [["analyze", "--f", f_arg], ["channel", "--f", f_arg, "--g", g_arg]]
+    argvs += [["analyze", "--f", write_csv("points1", ["+1,0.75", "-1,-0.25"])],
+              ["analyze", "--f", write_csv("exponent1", ["0,1e0005", "1,2"])]]
     return argvs
 
 

@@ -15,7 +15,7 @@ from numbers import Rational, Real
 import numpy as np
 
 from compwiretap import MultilinearPolynomial, ParseError, TruthTable
-from compwiretap import boolfn
+from compwiretap import boolfn, funcdsl
 from compwiretap.boolfn import point_to_index
 
 
@@ -162,6 +162,28 @@ def expand_expression(node) -> list:
                 add(pairs, m1 ^ m2, v1 * v2)
         terms = [(mask, value) for mask, value in pairs if value != 0]
     return [(mask, -value) for mask, value in terms] if negate else terms
+
+
+class ReferenceParser(funcdsl._Parser):
+    """The expression parser with every ``*`` a convolution, the reference
+    for the product with a variable that moves each mask instead."""
+
+    def term(self) -> dict:
+        negate = self.peek()[0] == "-"
+        if negate:
+            self.take()
+        poly = self.factor()
+        while self.peek()[0] == "*":
+            self.take()
+            rhs = self.factor()
+            boolfn._check_exact_pairs(len(poly), len(rhs))
+            self.pairs += len(poly) * len(rhs)
+            if self.pairs > funcdsl._MAX_PARSE_PAIRS:
+                raise ValueError(f"exact products of the expression exceed the "
+                                 f"cap of {funcdsl._MAX_PARSE_PAIRS} term pairs in all")
+            poly = {m: v for m, v in boolfn._convolve(poly.items(), rhs.items()).items()
+                    if v}
+        return boolfn._convolve(poly.items(), ((0, -1),)) if negate else poly
 
 
 def brute_joint(f_values, g_values):
@@ -447,15 +469,6 @@ def reference_parse_table_csv(text: str) -> np.ndarray:
             raise ParseError(f"line {lineno}: duplicate index {index}")
         values[index] = float(Fraction(value.strip()))
     return values
-
-
-#: The plain-rows pattern with a backtracking repeat, which keeps state
-#: for every row; the package's possessive repeat must accept the same
-#: bodies.
-_REFERENCE_ROW = r"\d{1,18},[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d{1,3})?"
-REFERENCE_PLAIN_ROWS_RE = re.compile(
-    rf"[ \t]*{_REFERENCE_ROW}(?:[ \t]*[\n\r\v\f]\s*{_REFERENCE_ROW})*\s*",
-    re.ASCII)
 
 
 def serialize_table(table: TruthTable, fmt: str = "csv") -> str:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from compwiretap import (
 from compwiretap import boolfn, funcdsl
 from helpers import (
     PRODUCT_20,
-    REFERENCE_PLAIN_ROWS_RE,
+    ReferenceParser,
     expand_expression,
     maj3_poly,
     maj3_table,
@@ -304,6 +305,24 @@ def test_parse_serialize_roundtrip_property(poly):
     assert again == poly
     assert serialize_poly(poly) == text
     assert serialize_poly(again) == text
+
+
+def _parsed(parser_class, text: str) -> tuple:
+    """The terms one parser class gives ``text``, with their value types,
+    and the term pairs its products counted."""
+    parser = parser_class(funcdsl._tokenize(text), len(text))
+    terms = [(mask, type(value), value) for mask, value in parser.expr().items()]
+    return terms, parser.pairs
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.sampled_from(["(1 + x1)*x1 - x1", "x1*x2 - x2*x1", "-(1 + x2)*x2*x2 + x2*x2",
+                     "(x1 - x1 + 2 + x1)*x1 - 3", "(x1 + x2)*x1*x2 - x1 - x2 + 1"]),
+    st.integers(1, 6).flatmap(_expressions).map(lambda case: case[0]),
+    _exact_polynomials().map(serialize_poly)))
+def test_parse_times_a_variable_matches_the_convolution_property(text):
+    assert _parsed(funcdsl._Parser, text) == _parsed(ReferenceParser, text)
 
 
 @st.composite
@@ -612,33 +631,117 @@ def test_parse_table_csv_matches_reference_property(text):
     assert parse_table(text).values.tobytes() == expected.tobytes()
 
 
+def _row_value(rng) -> str:
+    """A value field: a repr, a short decimal, an exponent or a zero,
+    sometimes signed."""
+    form = rng.choice(["repr", "short", "exponent", "zero"])
+    if form == "repr":
+        return repr(rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-12, 12))
+    if form == "short":
+        return rng.choice(["", "+", "-"]) + rng.choice(
+            ["0.25", "1.5", ".5", "5.", "2", "0.125", "10"])
+    if form == "exponent":
+        return (rng.choice(["", "+", "-"]) + rng.choice(["1", "2.5", ".125", "7."])
+                + rng.choice("eE") + rng.choice(["", "+", "-"])
+                + str(rng.randint(0, 330)).zfill(rng.choice([1, 2, 3])))
+    return rng.choice(["0", "-0", "+0", "-0.0", "0e0", "-.0"])
+
+
+#: One odd row or line each; the file that holds it either keeps to the
+#: fast path or must be declined to the row-by-row reader.
+_ODD_ROWS = {
+    "index_zeros": lambda rng, i, v: (f"{'0' * rng.randint(1, 20)}{i}", v),
+    "index_over_the_digit_limit": lambda rng, i, v: ("0" * 4300 + str(i), v),
+    "signed_index": lambda rng, i, v: (rng.choice("+-") + str(i), v),
+    "four_digit_exponent": lambda rng, i, v: (
+        str(i), rng.choice(["1e0005", "2.5E-0010", "-3e+1234", "1e1000"])),
+    "beyond_float_range": lambda rng, i, v: (
+        str(i), rng.choice(["1e400", "-2e308", "1" * 400, "1e999"])),
+    "long_decimal": lambda rng, i, v: (str(i), "0." + "3" * 4400),
+    "fraction": lambda rng, i, v: (str(i), "1/3"),
+    "float_index": lambda rng, i, v: (f"{i}.0", v),
+    "three_fields": lambda rng, i, v: (str(i), f"{v},1"),
+    # whitespace that is a line break to str.splitlines, or not ASCII
+    "stray_space": lambda rng, i, v: (
+        str(i), rng.choice(["\v", "\f", "\x1c", "\x1e", "\x85", "\xa0", "\u2028"]) + v),
+}
+
+
 @st.composite
-def _plain_row_bodies(draw):
-    """Text after a table's header: rows near the plain-row grammar's
-    edges, joined by mixed line breaks, blank lines and stray bytes."""
-    digits = st.text("0123456789", min_size=1, max_size=4)
-    index = st.one_of(digits, st.sampled_from(
-        ["9" * 18, "0" * 17 + "1", "1" + "0" * 18, "9" * 19]))
-    value = st.tuples(
-        st.sampled_from(["", "+", "-", "--"]),
-        st.sampled_from(["1", "0.5", ".25", "7.", ".", "12e", "3.0.1"]),
-        st.sampled_from(["", "e5", "E-12", "e+307", "e-330", "e1000", "e+1234"]),
-    ).map("".join)
-    row = st.tuples(index, value).map(",".join)
-    breaks = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", " \n", "\t\r",
-                              "\n  \n", "\n \t\f\n", " ", ",", "\n#\n"])
-    rows = draw(st.lists(row, min_size=1, max_size=8))
-    text = draw(st.sampled_from(["", " ", "\t "]))
-    for row in rows:
-        text += row + draw(breaks)
-    return text + draw(st.sampled_from(["", "\n", " \n\n ", "x", "0,", "\n1"]))
+def _table_files(draw):
+    """CSV table text at the fast path's edges: permuted, duplicated and
+    missing rows, line breaks of every kind, padded fields, blank and
+    whitespace-only lines, disagreeing headers, n=1 files of ±1 point
+    rows, and one odd row of ``_ODD_ROWS`` at a time."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    indices = list(range(1 << n))
+    shape = draw(st.sampled_from(
+        ["in order", "in order", "permuted", "permuted", "duplicate", "missing"]))
+    if shape != "in order":
+        rng.shuffle(indices)
+    if shape == "duplicate":
+        indices[0] = indices[-1]
+    elif shape == "missing":
+        indices.pop()
+    rows = [(str(i), _row_value(rng)) for i in indices]
+    if n == 1 and draw(st.booleans()):
+        # "+1" is the point x1 = +1, index 0
+        rows = [({"0": "+1", "1": "-1"}.get(i, i), v) for i, v in rows]
+    odd = draw(st.sampled_from([None] * len(_ODD_ROWS) + [*_ODD_ROWS]))
+    if odd:
+        # not the first row, when there are two: a data row leads the body
+        k = rng.randrange(min(1, len(rows) - 1), len(rows))
+        rows[k] = _ODD_ROWS[odd](rng, *rows[k])
+    pad = draw(st.sampled_from(["", " ", "\t", " \t"]))
+    lines = [rng.choice(["", pad]) + i + rng.choice(["", pad]) + ","
+             + rng.choice(["", pad]) + v + rng.choice(["", pad]) for i, v in rows]
+    gap = draw(st.sampled_from([None, None, "", " ", "\t "]))  # a blank line
+    if gap is not None:
+        lines.insert(rng.randint(1, len(lines)), gap)
+    header = draw(st.sampled_from(
+        [f"# n={n}\nindex,value", f"# n={n + 1}\nindex,value", f"n = {n}",
+         "index, value", "", f"# n={n}", f"# n={max(n - 1, 1)}"]))
+    lines = ([header] if header else []) + lines
+    newline = draw(st.sampled_from(
+        ["\n", "\n", "\n", "\r\n", "\r\n", "\r", "\r", "\v", "\f"]))
+    if draw(st.integers(0, 3)) == 0:  # another line break here and there
+        lines = [line + rng.choice(["\n", "\r\n", "\r"]) * (rng.random() < 0.2)
+                 for line in lines]
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-@given(_plain_row_bodies())
-def test_plain_rows_regex_accepts_what_backtracking_accepts_property(body):
-    # the possessive repeat gives no row back, so it is the same language
-    assert (funcdsl._PLAIN_ROWS_RE.fullmatch(body) is None) == (
-        REFERENCE_PLAIN_ROWS_RE.fullmatch(body) is None)
+@settings(max_examples=500)
+@given(_table_files())
+def test_plain_rows_read_as_the_row_reader_reads_property(text):
+    # the fast path either declines a file or reads what the row-by-row
+    # reader reads, bit for bit, or fails with its error
+    try:
+        expected = funcdsl._parse_rows(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse_table(text)
+        assert str(got.value) == str(err)
+    else:
+        assert parse_table(text).values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    "0,1\n+1,2\n2,3\n3,4\n",  # a signed index, which loadtxt reads as 1
+    "0,1\n -0,2\n2,3\n3,4\n",
+    "0,1\n1,2\n2,1e0005\n3,4\n",  # a 4-digit exponent
+    "0,1\n1,2\n" + "0" * 4300 + "2,3\n3,4\n",  # an index int() refuses
+    "0,1\n1,\v2\n2,3\n3,4\n",  # a line break to str.splitlines
+    "0,1\n1,\x1c2\n2,3\n3,4\n",
+], ids=["plus", "minus_zero", "exponent", "index_digits", "vt", "file_separator"])
+def test_parse_table_declines_rows_the_row_reader_reads_otherwise(rows):
+    text = "# n=2\nindex,value\n" + rows
+    assert funcdsl._parse_plain_rows(text) is None
+    with pytest.raises(ParseError) as err:
+        parse_table(text)
+    with pytest.raises(ParseError) as by_rows:
+        funcdsl._parse_rows(text)
+    assert str(err.value) == str(by_rows.value)
 
 
 def test_parse_table_plain_rows_take_the_fast_path(monkeypatch):
@@ -647,10 +750,32 @@ def test_parse_table_plain_rows_take_the_fast_path(monkeypatch):
         raise AssertionError("row-by-row reader used")
     monkeypatch.setattr(funcdsl, "_parse_value", refuse)
     text = "# n=2\nindex,value\n\n3,-0\n 1,+2.5e-1 \n\n0,1E3\r\n2,.5\n\n"
-    table = parse_table(text)
-    assert table.values.tobytes() == np.array([1000.0, 0.25, 0.5, 0.0]).tobytes()
+    expected = np.array([1000.0, 0.25, 0.5, 0.0]).tobytes()
+    assert parse_table(text).values.tobytes() == expected
+    # CRLF and lone-CR line breaks, and rows spaced as "i, v"
+    header, rows = text.split("value")
+    for variant in (text.replace("\n", "\r\n"), text.replace("\n", "\r"),
+                    header + "value" + rows.replace(",", ", "),
+                    header + "value" + rows.replace(",", "\t,\t")):
+        assert parse_table(variant).values.tobytes() == expected
     with pytest.raises(AssertionError):
         parse_table(text.replace(".5", "1/2"))
+
+
+def test_parse_table_csv_load_peak_memory():
+    # a quarter-valued n=16 table: no list of row strings or fields
+    rng = np.random.default_rng(16)
+    values = rng.integers(-4, 5, 1 << 16) / 4.0
+    text = "# n=16\nindex,value\n" + "".join(
+        f"{i},{v!r}\n" for i, v in enumerate(values.tolist()))
+    tracemalloc.start()
+    try:
+        table = parse_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.values.tobytes() == values.tobytes()
+    assert peak < 8 << 20
 
 
 def test_parse_table_json():
