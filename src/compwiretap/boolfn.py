@@ -410,10 +410,15 @@ def _values(poly: MultilinearPolynomial) -> np.ndarray:
 
 def _value_strips(poly: MultilinearPolynomial, emit) -> None:
     """Hand each final column strip of the polynomial's values to
-    ``emit(c, strip)`` (see :func:`_butterfly`), for ``2**n`` above
-    :data:`_BLOCK`, holding only the cache blocks that hold a mask: for
-    the n=24 chain, 9 of 256 blocks, 4.5 MiB where the table is 128 MiB.
+    ``emit(c, strip)`` (see :func:`_butterfly`).  Above :data:`_BLOCK`
+    points it holds only the cache blocks that hold a mask: for the n=24
+    chain, 9 of 256 blocks, 4.5 MiB where the table is 128 MiB.  Up to
+    :data:`_BLOCK` points the table is one row, and its values are one
+    strip, emitted on the calling thread.
     """
+    if (1 << poly.n) <= _BLOCK:
+        emit(0, _values(poly))
+        return
     rows = (1 << poly.n) // _BLOCK
     used = _used_rows(poly, _BLOCK)
     blocks = np.zeros((used.size, _BLOCK), dtype=np.float64)
@@ -599,11 +604,9 @@ def is_boolean_valued(table: TruthTable) -> bool:
 
 def is_boolean_valued_poly(poly: MultilinearPolynomial) -> bool:
     """``is_boolean_valued(inverse_wht(poly))``, failing as it does on a
-    value that is not finite.  Above 2**16 points it reads each value
-    strip of :func:`_value_strips` as it comes, on the butterfly's
-    worker threads, and never holds the dense table."""
-    if (1 << poly.n) <= _BLOCK:
-        return is_boolean_valued(inverse_wht(poly))
+    value that is not finite.  It reads each value strip of
+    :func:`_value_strips` as it comes, on the butterfly's worker threads,
+    and never holds the dense table."""
     flags = []
 
     def check(c, strip):
@@ -614,6 +617,16 @@ def is_boolean_valued_poly(poly: MultilinearPolynomial) -> bool:
 
     _value_strips(poly, check)
     return all(flags)
+
+
+def is_boolean_function(poly: MultilinearPolynomial,
+                        table: TruthTable | None = None) -> bool:
+    """Whether the function is ±1-valued: read from ``table`` when one is
+    given, else from the values of ``poly``.  A table loaded from a file
+    decides for itself: the transform prunes coefficients at or below
+    :data:`PRUNE_TOL`, so its polynomial's values can differ from it."""
+    return (is_boolean_valued(table) if table is not None
+            else is_boolean_valued_poly(poly))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ channel views all read one :class:`JointDistribution`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .boolfn import (
     TruthTable,
     index_to_point,
     inverse_wht,
-    is_boolean_valued,
+    is_boolean_function,
     mul,
     sub,
     wht,
@@ -46,56 +47,61 @@ _MAX_CELLS = 1 << 20
 class WiretapSpec:
     """A pair (f, g) on a common n, inputs uniform on {-1,+1}^n.
 
-    Both the dense table and the Fourier expansion of each function are
-    kept, since the channel constructions enumerate tables while the
-    noise models also report polynomials.
+    The pair is its two Fourier expansions, which the noise models and
+    the bounds read, plus ``tables``: each table loaded from a file, by
+    function name (``"f"``, ``"g"``).  ``f_table`` and ``g_table`` build
+    a dense table with ``inverse_wht`` when an answer first reads it, and
+    keep it in ``tables``.
     """
 
-    f_table: TruthTable
-    g_table: TruthTable
     f_poly: MultilinearPolynomial
     g_poly: MultilinearPolynomial
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        ns = {self.f_table.n, self.g_table.n, self.f_poly.n, self.g_poly.n}
+        ns = {self.f_poly.n, self.g_poly.n, *(t.n for t in self.tables.values())}
         if len(ns) != 1:
             raise ValueError(f"f and g must share n, got {sorted(ns)}")
 
     @property
     def n(self) -> int:
-        return self.f_table.n
+        return self.f_poly.n
+
+    def _table(self, name: str) -> TruthTable:
+        if name not in self.tables:
+            self.tables[name] = inverse_wht(getattr(self, f"{name}_poly"))
+        return self.tables[name]
+
+    f_table = property(lambda self: self._table("f"))
+    g_table = property(lambda self: self._table("g"))
+
+    @cached_property
+    def booleans(self) -> tuple:
+        """``(f is ±1-valued, g is ±1-valued)``, decided once, both at
+        first read, by ``is_boolean_function``: from the table the spec
+        holds by then, else from the polynomial's value strips."""
+        return tuple(is_boolean_function(getattr(self, f"{name}_poly"),
+                                         self.tables.get(name)) for name in "fg")
 
     @classmethod
     def from_polys(cls, f: MultilinearPolynomial, g: MultilinearPolynomial,
                    f_table: TruthTable | None = None,
                    g_table: TruthTable | None = None) -> "WiretapSpec":
-        """Build from Fourier expansions, lifting both to a common n.
-
-        A given table is kept when its function is not lifted; every
-        missing table is built once by ``inverse_wht``.
-        """
-        f, g, f_table, g_table = lift_pair(f, g, f_table, g_table)
-        return cls(inverse_wht(f) if f_table is None else f_table,
-                   inverse_wht(g) if g_table is None else g_table, f, g)
+        """Build from Fourier expansions, lifting a function whose n is
+        below the pair's; a given table is kept when its function is not
+        lifted."""
+        n = max(f.n, g.n)
+        tables = {name: table for name, poly, table in
+                  (("f", f, f_table), ("g", g, g_table))
+                  if table is not None and poly.n == n}
+        return cls(f if f.n == n else f.with_n(n),
+                   g if g.n == n else g.with_n(n), tables)
 
     @classmethod
     def from_tables(cls, f: TruthTable, g: TruthTable) -> "WiretapSpec":
         if f.n != g.n:
             raise ValueError(f"f and g must share n, got {f.n} and {g.n}")
-        return cls(f, g, wht(f), wht(g))
-
-
-def lift_pair(f: MultilinearPolynomial, g: MultilinearPolynomial,
-              f_table: TruthTable | None = None,
-              g_table: TruthTable | None = None) -> tuple:
-    """``(f, g, f_table, g_table)`` with both functions on their common n.
-    A lifted function's table becomes None."""
-    n = max(f.n, g.n)
-    if f.n != n:
-        f, f_table = f.with_n(n), None
-    if g.n != n:
-        g, g_table = g.with_n(n), None
-    return f, g, f_table, g_table
+        return cls(wht(f), wht(g), {"f": f, "g": g})
 
 
 def _plain(value, skip=()):
@@ -357,12 +363,11 @@ def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
     parameters are computed.  Then g * N = f holds exactly for ±1 floats,
     so ``reconstruction_max_error`` keeps its default of 0.0.
     """
-    if not is_boolean_valued(spec.f_table):
-        raise PreconditionError("multiplicative noise requires ±1-valued f")
-    if not is_boolean_valued(spec.g_table):
-        raise PreconditionError("multiplicative noise requires ±1-valued g")
-    f_sign = np.where(spec.f_table.values >= 0, 1.0, -1.0)
-    g_sign = np.where(spec.g_table.values >= 0, 1.0, -1.0)
+    tables = spec.f_table, spec.g_table  # the flags then read these
+    for name, boolean in zip("fg", spec.booleans):
+        if not boolean:
+            raise PreconditionError(f"multiplicative noise requires ±1-valued {name}")
+    f_sign, g_sign = (np.where(t.values >= 0, 1.0, -1.0) for t in tables)
     noise = f_sign * g_sign  # exactly ±1
 
     def flip_prob(observed: float) -> float | None:

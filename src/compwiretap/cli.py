@@ -73,28 +73,12 @@ def _load_function(source: str, declared_n: int | None):
     return funcdsl.parse_poly(source, declared_n), None
 
 
-def _load_functions(args) -> tuple:
-    """``(f, g, f_table, g_table)`` of --f and --g, lifted to a common n
-    by ``channels.lift_pair``."""
+def _load_pair(args) -> channels.WiretapSpec:
+    """The spec of --f and --g: each source loaded, f first, and the pair
+    lifted to a common n."""
     f_poly, f_table = _load_function(args.f, args.n)
     g_poly, g_table = _load_function(args.g, args.n)
-    return channels.lift_pair(f_poly, g_poly, f_table, g_table)
-
-
-def _load_pair(args) -> channels.WiretapSpec:
-    return channels.WiretapSpec.from_polys(*_load_functions(args))
-
-
-def _boolean_table(poly, table, build=False) -> tuple:
-    """``(whether the function is ±1-valued, its table)``.  The table is
-    the given one, or built when it has at most 2**16 points or ``build``
-    is set; otherwise it stays None and the flag is read from the
-    polynomial without it.  Values beyond float range fail as the
-    table's check fails on them."""
-    if table is None and (build or (1 << poly.n) <= boolfn._BLOCK):
-        table = boolfn.inverse_wht(poly)
-    return (boolfn.is_boolean_valued(table) if table is not None
-            else boolfn.is_boolean_valued_poly(poly)), table
+    return channels.WiretapSpec.from_polys(f_poly, g_poly, f_table, g_table)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +89,7 @@ def _cmd_analyze(args):
     poly, table = _load_function(args.f, args.n)
     # before the other fields, so that values beyond float range fail
     # as the table's check fails on them
-    boolean, _ = _boolean_table(poly, table)
+    boolean = boolfn.is_boolean_function(poly, table)
     profile = boolfn.influence_profile(poly)
     terms = _Terms(poly)
     report = {
@@ -256,20 +240,15 @@ def _cmd_invariance(args):
             bounds_info["kind"] = "basic"
         bounds_info["eps"] = float(eps)
     else:
-        f_poly, g_poly, f_table, g_table = _load_functions(args)
-        # both flags, so that either function's values beyond float range
-        # fail as its table would.  Once f is ±1, g's table is what a ±1
-        # pair's spec needs, so it is built for g's check
-        f_boolean, f_table = _boolean_table(f_poly, f_table)
-        g_boolean, g_table = _boolean_table(g_poly, g_table, build=f_boolean)
-        if not (f_boolean and g_boolean):
+        spec = _load_pair(args)
+        f_poly, g_poly = spec.f_poly, spec.g_poly
+        if not all(spec.booleans):
             mode = "additive"
             target = boolfn.sub(f_poly, g_poly)
             bound = invariance.additive_bound(f_poly, g_poly, c4)
             bounds_info["kind"] = "additive"
             bounds_info["k"] = invariance.pair_degree(f_poly, g_poly)
         else:
-            spec = channels.WiretapSpec.from_polys(f_poly, g_poly, f_table, g_table)
             bound = invariance.multiplicative_bound(spec, c4)
             # The product is built once for the noise and the variant's k.
             mode = "multiplicative"

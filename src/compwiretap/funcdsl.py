@@ -359,10 +359,15 @@ def _join_terms(masks, negative, texts, which) -> str:
 _N_RE = re.compile(r"n\s*=\s*(\d+)")
 
 #: The first line that begins with a digit: where plain data rows start.
-#: A line starts after a newline or a lone carriage return.
-_FIRST_ROW_RE = re.compile(r"(?:^|(?<=\r))[ \t]*\d", re.ASCII | re.MULTILINE)
+#: A line starts after a newline, a lone carriage return, ``\v`` or ``\f``.
+_FIRST_ROW_RE = re.compile(r"(?:^|(?<=[\r\v\f]))[ \t]*\d", re.ASCII | re.MULTILINE)
 #: The bytes a plain data row may hold.
-_PLAIN_BYTES = b"0123456789,.eE+- \t\n\r"
+_PLAIN_BYTES = b"0123456789,.eE+- \t\n\r\v\f"
+#: A ``bytes.translate`` table that makes every line break a newline; a
+#: CRLF becomes an empty line.
+_BREAKS = bytes.maketrans(b"\r\v\f", b"\n\n\n")
+#: A line of spaces and tabs alone, after a newline.
+_BLANK_LINE_RE = re.compile(rb"\n[ \t]+(?=\n|\Z)")
 #: A ``bytes.translate`` table of the classes of a plain row's bytes: a
 #: digit reads as 0, a sign as +, an exponent mark as e and a line break
 #: as a newline.
@@ -474,37 +479,49 @@ def _table_n(n: int | None, count: int) -> int:
     return n
 
 
-def _plain_body(body: str) -> bool:
-    """Whether numpy's text reader reads each row of ``body`` as the
-    row-by-row reader does, wherever it reads the row at all.
+def _plain_body(body: str) -> str | None:
+    """``body`` for numpy's text reader, which then reads each row as the
+    row-by-row reader does, wherever it reads the row at all; None when
+    the body is not plain.
 
-    Such a body is ASCII and holds only digits, ``, . e E + -``, spaces,
-    tabs and line breaks.  No index field is signed: the row-by-row
+    A plain body is ASCII and holds only digits, ``, . e E + -``, spaces,
+    tabs and the line breaks ``\n``, ``\r``, ``\v`` and ``\f``, where
+    ``str.splitlines`` breaks too.  The text reader breaks lines at
+    ``\n`` and ``\r`` alone and refuses a line of spaces and tabs, so
+    ``\v`` and ``\f`` become newlines, and such a line an empty one,
+    which both readers skip.  No index field is signed: the row-by-row
     reader reads ``+1``/``-1`` as a ±1 point or refuses it, and ``-0``
     as neither.  No exponent has 4 digits, and no index field has more
     digits than ``int`` converts from text: the row-by-row reader
     refuses both.
     """
     if not body.isascii():
-        return False
+        return None
     data = body.encode()
     if data.translate(None, _PLAIN_BYTES):
-        return False
+        return None
+    if b"\v" in data or b"\f" in data:
+        data = data.translate(_BREAKS)
     # spaces and tabs are dropped, so an index field is what follows a
-    # line break
+    # line break, and a blank line is an empty one
     classes = b"\n" + data.translate(_ROW_CLASSES, b" \t")
     codes = np.frombuffer(classes, np.uint8)
+    breaks = codes == ord("\n")
     limit = sys.get_int_max_str_digits()
-    return not (np.any((codes[1:] == ord("+")) & (codes[:-1] == ord("\n")))
-                or _LONG_EXPONENT_RE.search(classes)
-                or limit and b"\n" + b"0" * (limit + 1) in classes)
+    if (np.any((codes[1:] == ord("+")) & breaks[:-1])
+            or _LONG_EXPONENT_RE.search(classes)
+            or limit and b"\n" + b"0" * (limit + 1) in classes):
+        return None
+    if (b" " in data or b"\t" in data) and np.any(breaks[1:] & breaks[:-1]):
+        data = _BLANK_LINE_RE.sub(b"\n", data.translate(_BREAKS))
+    return data.decode()
 
 
 def _parse_plain_rows(text: str) -> TruthTable | None:
     """The table of a file whose data rows are all plain, else None.
 
     A plain file is header, comment and blank lines followed by data rows
-    ``index,decimal``, one to a line, with empty lines between, that
+    ``index,decimal``, one to a line, with blank lines between, that
     ``_plain_body`` admits and numpy's C text reader reads.  That reader
     converts a value as ``float`` does, rounding a decimal correctly, as
     ``float(Fraction(s))`` does; -0 is stored as +0.0, since a Fraction
@@ -517,8 +534,8 @@ def _parse_plain_rows(text: str) -> TruthTable | None:
     if first is None:
         return None
     n, rows = _split_lines(text[:first.start()].splitlines())
-    body = text[first.start():]
-    if rows or not _plain_body(body):
+    body = None if rows else _plain_body(text[first.start():])
+    if body is None:
         return None
     try:
         # newline=None reads \r\n and a lone \r as line breaks

@@ -43,8 +43,6 @@ from .boolfn import (
     degree,
     evaluate_batch,
     influence_profile,
-    inverse_wht,
-    is_boolean_valued,
     max_influence,
     mul,
     sub,
@@ -318,7 +316,7 @@ def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
 def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
     """(C/3) * k * l * 9**k * eps for the noise N = f*g of ``spec``'s pair.
 
-    Requires ±1-valued f and g, read from the spec's tables.  By default
+    Requires ±1-valued f and g, read from the spec's flags.  By default
     k = deg(f)*deg(g), degrees taken as at least 1; a caller may pass
     the exponent instead, such as k = deg(f*g), which is never larger
     and often far smaller.  The result is a bound only for
@@ -327,8 +325,8 @@ def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
     _check_finite("C", c4)
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
-    for name, table in (("f", spec.f_table), ("g", spec.g_table)):
-        if not is_boolean_valued(table):
+    for name, boolean in zip("fg", spec.booleans):
+        if not boolean:
             raise PreconditionError(f"{name} is not ±1-valued")
     f, g = spec.f_poly, spec.g_poly
     if k is None:
@@ -348,10 +346,12 @@ _LEAF = 128
 
 
 def _leaf_sums(values: np.ndarray) -> np.ndarray:
-    """numpy's own sum of each leaf of each row of ``values``.  The
-    ``0.0 +`` it adds can flip only the sign of a zero leaf, which the
-    ``0.0 +`` of :func:`_row_sums` erases."""
-    return np.add.reduce(values.reshape(-1, _LEAF), axis=1).reshape(len(values), -1)
+    """numpy's own sum of each leaf of each row of ``values``; a row
+    shorter than a leaf is one leaf.  The ``0.0 +`` it adds can flip
+    only the sign of a zero leaf, which the ``0.0 +`` of
+    :func:`_row_sums` erases."""
+    leaf = min(values.shape[1], _LEAF)
+    return np.add.reduce(values.reshape(-1, leaf), axis=1).reshape(len(values), -1)
 
 
 def _row_sums(leaves: np.ndarray) -> np.ndarray:
@@ -364,31 +364,28 @@ def _row_sums(leaves: np.ndarray) -> np.ndarray:
 def expect_exact(poly: MultilinearPolynomial, psi) -> float:
     """E[psi(F(x))] for uniform ±1 x, by dense enumeration.
 
-    The result equals ``np.mean(psi(table))`` bit for bit, and no table
-    of 2**n values is held.  Up to 2**16 points psi runs on the whole
-    table on the calling thread.  Above, psi runs on each column strip
-    of the butterfly as it comes out final (see
-    :func:`boolfn._value_strips`), on the butterfly's worker threads,
-    possibly at once, so psi must act elementwise on a contiguous array,
-    as every catalog psi does.  A strip is at least 256 columns wide at
-    ``MAX_N``, so it holds whole leaves of each 2**16-point row; only the
-    leaf sums are kept (1 MiB at n=24), folded per row as numpy folds
-    them, and the row sums are added by recursive halving, numpy's order
-    for these power-of-two sizes.
+    The result equals ``np.mean(psi(table))`` bit for bit.  psi runs on
+    each column strip of the values as it comes out final (see
+    :func:`boolfn._value_strips`): up to 2**16 points that is the whole
+    table, on the calling thread.  Above, it is a strip of the
+    butterfly, on its worker threads, possibly at once, so psi must act
+    elementwise on a contiguous array, as every catalog psi does, and no
+    table of 2**n values is held.  A strip is at least 256 columns wide
+    at ``MAX_N``, so it holds whole leaves of each 2**16-point row; only
+    the leaf sums are kept (1 MiB at n=24), folded per row as numpy
+    folds them, and the row sums are added by recursive halving, numpy's
+    order for these power-of-two sizes.
     """
     fn = _resolve_psi(psi).fn
     size = 1 << poly.n
-    if size <= _BLOCK:
-        values = inverse_wht(poly).values
-        total = np.add.reduce(np.asarray(fn(values), dtype=np.float64))
-        return float(total / size)
-    rows = size // _BLOCK
-    leaves = np.empty((rows, _BLOCK // _LEAF))
+    row = min(size, _BLOCK)
+    rows, leaf = size // row, min(row, _LEAF)
+    leaves = np.empty((rows, row // leaf))
 
     def fold(c, strip):
         width = strip.size // rows
         values = np.asarray(fn(strip), dtype=np.float64).reshape(rows, width)
-        leaves[:, c // _LEAF:(c + width) // _LEAF] = _leaf_sums(values)
+        leaves[:, c // leaf:(c + width) // leaf] = _leaf_sums(values)
 
     _value_strips(poly, fold)
     sums = _row_sums(leaves)
@@ -670,9 +667,10 @@ def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:
 
     eps is the largest coordinate influence over both functions.
     Precondition failures mark a lemma as not applicable rather than
-    raising; the ±1 precondition is read from the spec's tables.
+    raising; the ±1 precondition is read from the spec's flags.
     """
     f, g = spec.f_poly, spec.g_poly
+    f_bool, g_bool = spec.booleans
     eps = float(pair_epsilon(f, g))
     checks = []
 
@@ -696,8 +694,6 @@ def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:
         "influence_difference", True, None, lhs, 4.0 * eps,
         lhs <= 4.0 * eps + LEMMA_SLACK))
 
-    f_bool = is_boolean_valued(spec.f_table)
-    g_bool = is_boolean_valued(spec.g_table)
     if not (f_bool and g_bool):
         offender = "f" if not f_bool else "g"
         checks.append(LemmaCheck(

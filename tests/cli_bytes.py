@@ -22,6 +22,9 @@ their table files into a temporary directory, and a third group,
   ±1 coefficients on x9..x24, the first term of f a negative constant
   (``lemmas`` is the lightest answer that writes both texts of an n=24
   pair, about 600 MB);
+* ``lemmas`` and ``invariance`` on a seed-drawn pair of ±1 monomials at
+  n = 24 (a tree that builds the pair's tables for the ±1 flags peaks
+  at about 600 MB);
 * ``analyze`` and ``commute`` on a pair of dense n=14 tables of
   3-decimal values, with many distinct magnitudes;
 * ``analyze`` and ``channel`` on a pair of quarter-valued n=14 CSV
@@ -35,7 +38,8 @@ and ``csv``) through ``compwiretap.cli.main`` with each tree, each tree
 in a fresh process, and compares per answer the exit code, the length
 and sha256 of stdout, and stderr.  It prints every difference and, per
 workload, the difference count and each tree's peak RSS (``ru_maxrss``
-of the process that answered), and exits 1 if there is a difference, 0
+of the process that answered) with the first request after which the
+process had reached it, and exits 1 if there is a difference, 0
 otherwise.  Sampled requests get the seed the benchmark's first pass
 gives them.
 
@@ -62,7 +66,7 @@ import workloads  # noqa: E402
 
 # Run in a fresh interpreter with argv [tree, requests.json]: prints the
 # process's peak RSS in KiB and, per request, [exit code, stdout length in
-# bytes, stdout sha256, stderr].
+# bytes, stdout sha256, stderr, the process's peak RSS in KiB so far].
 ANSWER = """
 import contextlib, hashlib, io, json, resource, sys
 tree, path = sys.argv[1:]
@@ -81,7 +85,8 @@ for argv in json.load(open(path, encoding="utf-8")):
             print(f"raised {exc!r}", file=sys.stderr)
     data = out.getvalue().encode("utf-8")
     answers.append([code, len(data), hashlib.sha256(data).hexdigest(),
-                    err.getvalue()])
+                    err.getvalue(),
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss])
 peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 json.dump([peak_kib, answers], sys.stdout)
 """
@@ -91,11 +96,13 @@ FORMATS = ("json", "pretty", "csv")
 
 
 def answers(tree: str, requests_path: str) -> tuple:
-    """(peak RSS in MB, the answers) of one tree in a fresh process."""
+    """(peak RSS in MB, the index of the first request after which the
+    process had reached it, the answers) of one tree in a fresh process."""
     run = subprocess.run([sys.executable, "-B", "-c", ANSWER, tree, requests_path],
                          capture_output=True, text=True, check=True)
     peak_kib, result = json.loads(run.stdout)
-    return peak_kib * 1024 / 1e6, result
+    reached = next(i for i, answer in enumerate(result) if answer[-1] == peak_kib)
+    return peak_kib * 1024 / 1e6, reached, result
 
 
 def extra(seed: int, directory: str) -> list:
@@ -132,6 +139,10 @@ def extra(seed: int, directory: str) -> list:
 
     f, g = pm1_terms("-1"), pm1_terms("x17*x24")
     argvs += [["analyze", "--f", f], ["lemmas", "--f", f, "--g", g],
+              ["invariance", "--f", f, "--g", g, "--samples", "10000"]]
+    a, b, c = rng.choice(23, 3, replace=False) + 1
+    f, g = f"x{a}*x24", f"-x{b}*x{c}"
+    argvs += [["lemmas", "--f", f, "--g", g],
               ["invariance", "--f", f, "--g", g, "--samples", "10000"]]
     f_arg, g_arg = (workloads._write_table(
         os.path.join(directory, f"decimal14_{side}.csv"), values, "csv")
@@ -185,19 +196,22 @@ def main(argv=None) -> int:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(argvs, handle)
-            (old_peak, old), (new_peak, new) = (answers(tree, path) for tree in trees)
+            (old_peak, old_at, old), (new_peak, new_at, new) = (
+                answers(tree, path) for tree in trees)
             found = 0
             for index, (argv, a, b) in enumerate(zip(argvs, old, new)):
-                for field, x, y in zip(FIELDS, a, b):
+                for field, x, y in zip(FIELDS, a, b):  # not the peak RSS so far
                     if x != y:
                         found += 1
                         print(f"{name}[{index // len(FORMATS)}] {argv[0]} "
                               f"{argv[-1]}: {field} differs: {x!r} != {y!r}")
             differences += found
             total += len(requests)
+            at = [f"{name}[{i // len(FORMATS)}] {argvs[i][0]}" for i in (old_at, new_at)]
             print(f"{name}: {len(requests)} requests answered by both trees "
                   f"in {len(FORMATS)} formats, {found} differences; "
-                  f"peak RSS {old_peak:.1f} MB (old), {new_peak:.1f} MB (new)")
+                  f"peak RSS {old_peak:.1f} MB (old, reached at {at[0]}), "
+                  f"{new_peak:.1f} MB (new, reached at {at[1]})")
     print(f"{differences} differences in {total} requests")
     return 1 if differences else 0
 

@@ -373,6 +373,15 @@ def test_is_boolean_valued():
 
 
 @pytest.mark.parametrize("text, n, expected", [
+    ("x1", 1, True),
+    ("1/2*x1", 1, False),
+    ("0", 2, False),
+    ("1/2*(x1 + x2 + x3 - x1*x2*x3)", 3, True),
+    ("x1*x7 + 1/1000000000000*x3", 7, True),
+    ("x1*x7 + 1/500000000*x3", 7, False),
+    ("-x5*x12", 12, True),
+    ("x1*x16", 16, True),
+    ("x1 + x16", 16, False),
     ("x1*x17", 17, True),
     ("x1 + x17", 17, False),
     ("x2*x18*x5", 18, True),
@@ -390,6 +399,26 @@ def test_is_boolean_valued_poly_reads_the_value_strips(text, n, expected):
     poly = parse_poly(text, n)
     assert is_boolean_valued(inverse_wht(poly)) is expected
     assert boolfn.is_boolean_valued_poly(poly) is expected
+
+
+@pytest.mark.parametrize("text, n, error, message", [
+    ("1e308*x1 + 1e308*x2", 2, ValueError, "table values must be finite"),
+    ("1e308*x1 + 1e308*x16", 16, ValueError, "table values must be finite"),
+    ("1e308*x1 + 1e308*x20", 20, ValueError, "table values must be finite"),
+    ("1e400*x3", 3, OverflowError, None),
+    ("1e400*x3", 18, OverflowError, None),
+])
+def test_is_boolean_valued_poly_fails_on_values_beyond_float_range(
+        text, n, error, message):
+    # the error of the table's own check, at every n
+    poly = parse_poly(text, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error) as table_error:
+            inverse_wht(poly)
+        with pytest.raises(error) as flag_error:
+            boolfn.is_boolean_valued_poly(poly)
+    assert str(flag_error.value) == str(table_error.value)
+    assert message is None or str(flag_error.value) == message
 
 
 # ---------------------------------------------------------------------------

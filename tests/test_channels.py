@@ -415,6 +415,23 @@ def test_spec_lifts_to_common_n():
     assert spec.n == 2
 
 
+def test_spec_flags_read_the_tables_it_holds_else_the_polynomials():
+    # a held table decides its function's flag even where its polynomial
+    # would not (a loaded table and its transform can differ); a table
+    # given for a function that is lifted is dropped
+    x1, x2 = parse_poly("x1"), parse_poly("x2")
+    half = TruthTable(1, [0.5, -0.5])
+    spec = WiretapSpec.from_polys(x1, x1, half)
+    assert spec.booleans == (False, True)
+    assert spec.tables == {"f": half}  # g's flag built no table
+    lifted = WiretapSpec.from_polys(x1, x2, half)
+    assert lifted.booleans == (True, True) and lifted.tables == {}
+    # a table built before the first flag is read decides it too
+    built = WiretapSpec.from_polys(parse_poly("1/2*x1"), x1)
+    assert built.f_table is built.f_table and list(built.tables) == ["f"]
+    assert built.booleans == (False, True)
+
+
 def test_spec_rejects_mismatched_tables():
     with pytest.raises(ValueError):
         WiretapSpec.from_tables(

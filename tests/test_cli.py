@@ -231,12 +231,13 @@ def test_invariance_precondition_exits_2(capsys):
 
 
 def _count_calls(monkeypatch, name, modules):
-    """Count calls of function ``name`` through every listed module."""
+    """Count calls of function ``name`` through every listed module: the
+    list returned holds each call's first argument."""
     calls = []
     original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args[0])
         return original(*args, **kwargs)
 
     for module in modules:
@@ -244,13 +245,16 @@ def _count_calls(monkeypatch, name, modules):
     return calls
 
 
-def test_invariance_single_builds_one_table(monkeypatch, capsys):
-    tables = _count_calls(monkeypatch, "inverse_wht",
-                          [boolfn, channels, invariance])
+def test_invariance_single_reads_the_values_in_one_strip_pass(monkeypatch, capsys):
+    # the exact side reads the values as strips, one pass, and builds no
+    # table; the parent built one
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
+    passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
     code, _ = run_json(capsys, [
         "invariance", "--f", MAJ3, "--samples", "2000"])
     assert code == 0
-    assert len(tables) == 1
+    assert tables == []
+    assert passes == [funcdsl.parse_poly(MAJ3)]
 
 
 def test_invariance_pair_parses_each_source_once(tmp_path, monkeypatch, capsys):
@@ -265,18 +269,29 @@ def test_invariance_pair_parses_each_source_once(tmp_path, monkeypatch, capsys):
 
 
 def test_invariance_multiplicative_builds_product_once(monkeypatch, capsys):
-    # two tables for the lifted pair and one for the exact expectation;
-    # the pair's tables settle the ±1 check, and one product serves both
-    # the noise and the degree-of-product variant
+    # the ±1 check and the exact expectation read value strips, so no
+    # table is built; one product serves both the noise and the
+    # degree-of-product variant
     products = _count_calls(monkeypatch, "mul", [boolfn, channels, invariance])
-    tables = _count_calls(monkeypatch, "inverse_wht",
-                          [boolfn, channels, invariance])
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
     code, report = run_json(capsys, [
         "invariance", "--f", MAJ3, "--g", "x4*x5*x6", "--psi", "sin",
         "--samples", "2000"])
     assert code == 0 and report["mode"] == "multiplicative"
     assert len(products) == 1
-    assert len(tables) <= 3
+    assert tables == []
+
+
+def test_channel_computes_each_function_once(monkeypatch, capsys):
+    # the joint builds both tables, and the ±1 flags of the
+    # multiplicative noise then read them: no strip pass
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
+    passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
+    code, report = run_json(capsys, ["channel", "--f", ZCHAN_F, "--g", ZCHAN_G])
+    assert code == 0 and report["multiplicative"]["kind"] == "multiplicative"
+    f, g = funcdsl.parse_poly(ZCHAN_F), funcdsl.parse_poly(ZCHAN_G)
+    assert len(tables) == 2 and f in tables and g in tables
+    assert passes == []
 
 
 def test_channel_builds_one_joint(monkeypatch, capsys):
@@ -286,13 +301,15 @@ def test_channel_builds_one_joint(monkeypatch, capsys):
     assert len(joints) == 1
 
 
-def test_lemmas_builds_the_pair_tables_only(monkeypatch, capsys):
-    # the lifted pair's two tables also settle the ±1 precondition
-    tables = _count_calls(monkeypatch, "inverse_wht",
-                          [boolfn, channels, invariance])
-    code, _ = run_json(capsys, ["lemmas", "--f", ZCHAN_F, "--g", ZCHAN_G])
-    assert code == 0
-    assert len(tables) == 2
+def test_lemmas_on_expressions_builds_no_table(monkeypatch, capsys):
+    # the ±1 precondition is the only value lemmas reads: one strip pass
+    # per function and no table; the parent built both tables
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
+    passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
+    code, report = run_json(capsys, ["lemmas", "--f", ZCHAN_F, "--g", ZCHAN_G])
+    assert code == 0 and report["checks"][2]["applicable"]
+    assert tables == []
+    assert passes == [funcdsl.parse_poly(ZCHAN_F), funcdsl.parse_poly(ZCHAN_G)]
 
 
 def test_invariance_multiplicative_bad_c_exits_1(capsys):
@@ -574,6 +591,36 @@ def test_invariance_pair_that_is_not_pm1_holds_no_dense_table(capsys):
     assert peak < 32 << 20
 
 
+#: An n=24 pair whose functions are not ±1, with few terms each.
+SPARSE24_F = "-1 + x9*x12*x14 + x10*x19 - x19*x20*x23 - x24 + x16*x21 + x20"
+SPARSE24_G = "x17*x24 + x24 + x12*x15 + x20*x23 - x14*x19 - x20 - x14"
+
+
+@pytest.mark.parametrize("argv, applicable", [
+    (["lemmas", "--f", SPARSE24_F, "--g", SPARSE24_G], False),
+    (["lemmas", "--f", "x1*x24", "--g", "x2*x23"], True),
+    (["invariance", "--f", "x1*x24", "--g", "x2*x23", "--samples", "10000"], True),
+])
+def test_pair_answer_at_max_n_holds_no_dense_table(capsys, argv, applicable):
+    # these answers read no table value but the ±1 flags (and the exact
+    # side of the product, by strips); building the pair's two 128 MiB
+    # tables for the flags peaked at 512 MiB
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 24
+    if argv[0] == "lemmas":
+        assert report["checks"][2]["applicable"] is applicable
+    else:
+        assert report["mode"] == "multiplicative"
+    assert peak < 16 << 20
+
+
 @pytest.mark.parametrize("f, g, mode", [
     ("x1*x17", "x2*x17", "multiplicative"),
     ("1", "1/4*x2*x17", "additive"),  # a ±1 constant, lifted to n = 17
@@ -587,18 +634,22 @@ def test_invariance_pair_above_n16_takes_the_mode_of_its_pm1_flags(capsys, f, g,
     assert report["mode"] == mode
 
 
-def test_invariance_pm1_pair_above_n16_reads_one_flag_from_the_polynomial(
+def test_invariance_pm1_pair_above_n16_reads_each_function_once(
         monkeypatch, capsys):
-    # f's flag comes from its polynomial; once f is ±1, g's is read from
-    # the table the spec keeps, and no table is built twice
+    # both ±1 flags come from their polynomials and the exact side from
+    # the product's: one strip pass per function and no table.  The
+    # parent read f's flag from its polynomial and built both tables
     flags = _count_calls(monkeypatch, "is_boolean_valued_poly", [boolfn])
-    tables = _count_calls(monkeypatch, "inverse_wht",
-                          [boolfn, channels, invariance])
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
+    passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
     code, report = run_json(capsys, [
         "invariance", "--f", "x1*x17", "--g", "x2*x17", "--samples", "2000"])
     assert code == 0 and report["mode"] == "multiplicative"
-    assert len(flags) == 1
-    assert len(tables) == 2
+    f, g, product = (funcdsl.parse_poly(text, 17)
+                     for text in ("x1*x17", "x2*x17", "x1*x2"))
+    assert flags == [f, g]
+    assert tables == []
+    assert passes == [f, g, product]
 
 
 def test_channel_chained_values_exit_1(tmp_path, capsys):

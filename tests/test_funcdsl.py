@@ -762,6 +762,31 @@ def test_parse_table_plain_rows_take_the_fast_path(monkeypatch):
         parse_table(text.replace(".5", "1/2"))
 
 
+def _blank_lines(text):
+    return text.replace("\n3,", "\n \t \n3,").replace("\n9,", "\n\t\n\n9,") + "  "
+
+
+@pytest.mark.parametrize("form", [
+    _blank_lines,
+    lambda text: _blank_lines(text).replace("\n", "\r\n"),
+    lambda text: _blank_lines(text).replace("\n", "\r"),
+    lambda text: text.replace("\n", "\v"),
+    lambda text: text.replace("\n", "\f"),
+    lambda text: _blank_lines(text).replace("\n1", "\v1").replace("\n2", "\f\r\n2"),
+], ids=["blank", "blank_crlf", "blank_cr", "vt", "ff", "mixed"])
+def test_plain_rows_read_blank_lines_and_vt_ff_breaks(form):
+    # the text reader refuses a line of spaces and tabs, and reads \v and
+    # \f inside a row; str.splitlines skips the first and breaks at the
+    # others, and so does the fast path now
+    values = np.random.default_rng(10).integers(-4, 5, 1 << 10) / 4.0
+    text = form("# n=10\nindex,value\n" + "".join(
+        f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+    table = funcdsl._parse_plain_rows(text)
+    assert table is not None
+    assert table.values.tobytes() == values.tobytes()
+    assert funcdsl._parse_rows(text).values.tobytes() == values.tobytes()
+
+
 def test_parse_table_csv_load_peak_memory():
     # a quarter-valued n=16 table: no list of row strings or fields
     rng = np.random.default_rng(16)

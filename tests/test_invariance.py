@@ -410,6 +410,33 @@ def test_expect_exact_equals_numpy_mean(n):
         assert np.float64(expect_exact(poly, name)).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_expect_exact_one_strip_is_numpy_mean_bit_for_bit(n):
+    # up to 2**16 points the values are one strip, and below 2**7 points
+    # that strip is one leaf; the zero polynomial's strip is all +0.0
+    rng = np.random.default_rng(200 + n)
+    masks = rng.integers(0, 1 << n, 6).tolist()
+    polys = [MultilinearPolynomial(n, {}),
+             random_rational_poly(rng, n, max_terms=12),
+             MultilinearPolynomial(n, {m: float(rng.standard_normal()) * 3.0
+                                       for m in masks})]
+    for poly in polys:
+        values = inverse_wht(poly).values
+        for name, psi in PSI_CATALOG.items():
+            expected = np.mean(np.asarray(psi.fn(values), dtype=np.float64))
+            assert np.float64(expect_exact(poly, name)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 32, 64])
+def test_a_row_shorter_than_a_leaf_folds_as_numpy_sums_it(width):
+    rng = np.random.default_rng(width)
+    rows = np.stack([np.full(width, -0.0), rng.choice([0.0, -0.0], width),
+                     rng.standard_normal(width) * np.exp2(rng.integers(-60, 60, width))])
+    folded = invariance._row_sums(invariance._leaf_sums(rows))
+    expected = np.array([np.add.reduce(row) for row in rows])
+    assert folded.tobytes() == expected.tobytes()
+
+
 def _exact_side_layout(rng, n, layout):
     """Masks in one block row, in every block row, or anywhere, with
     float or exact coefficients."""
@@ -758,7 +785,7 @@ def test_verify_invariance_rejects_z_before_any_sample_or_table(monkeypatch, z):
         raise AssertionError("a sample or a table was built")
 
     monkeypatch.setattr(invariance, "_gaussian_mc", refuse)
-    monkeypatch.setattr(invariance, "inverse_wht", refuse)
+    monkeypatch.setattr(invariance, "_value_strips", refuse)
     poly = maj3_poly()
     with pytest.raises(ValueError, match=r"^z must be finite and >= 0, got "):
         verify_invariance(poly, "cos", 1.0, samples=2000, z=z)
