@@ -290,15 +290,20 @@ _BLOCK = 1 << 16
 
 
 def _levels(a: np.ndarray, scratch: np.ndarray, h: int) -> None:
-    """Butterfly levels h, 2h, ... below a.size, in place on flat ``a``."""
+    """Butterfly levels h, 2h, ... below a.size, in place on flat ``a``.
+
+    Overflow is silent here: an inf or NaN it leaves fails the callers'
+    finiteness checks.  numpy's error state is per thread, so it is set
+    here, on whichever thread runs the levels."""
     half = a.size // 2
-    while h < a.size:
-        b = a.reshape(-1, 2, h)
-        x = scratch[:half].reshape(-1, h)
-        np.copyto(x, b[:, 0, :])
-        b[:, 0, :] += b[:, 1, :]
-        np.subtract(x, b[:, 1, :], out=b[:, 1, :])
-        h <<= 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while h < a.size:
+            b = a.reshape(-1, 2, h)
+            x = scratch[:half].reshape(-1, h)
+            np.copyto(x, b[:, 0, :])
+            b[:, 0, :] += b[:, 1, :]
+            np.subtract(x, b[:, 1, :], out=b[:, 1, :])
+            h <<= 1
 
 
 def _butterfly(a: np.ndarray, used=None, emit=None, rows=None) -> np.ndarray:

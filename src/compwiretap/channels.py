@@ -137,7 +137,8 @@ def _merge_values(values: np.ndarray):
     since its values then chain together rather than round to one value.
     """
     uniq, inverse = np.unique(values, return_inverse=True)
-    split = np.diff(uniq) > VALUE_MERGE_TOL
+    with np.errstate(over="ignore"):  # a gap beyond float range reads inf
+        split = np.diff(uniq) > VALUE_MERGE_TOL
     boundaries = np.flatnonzero(split)
     lows, highs = uniq[np.r_[0, boundaries + 1]], uniq[np.r_[boundaries, -1]]
     wide = np.flatnonzero(highs - lows > VALUE_MERGE_TOL)
@@ -345,10 +346,15 @@ def _noise_model(kind, u, noise, poly, **fields) -> NoiseModel:
 
 
 def additive_noise(spec: WiretapSpec) -> NoiseModel:
-    """Decompose v = u + N with N = f - g, distributions by enumeration."""
+    """Decompose v = u + N with N = f - g, distributions by enumeration.
+
+    Raises ``ValueError`` when a noise value is beyond float range."""
     f_vals = spec.f_table.values
     g_vals = spec.g_table.values
-    noise = f_vals - g_vals
+    with np.errstate(over="ignore"):
+        noise = f_vals - g_vals
+    if not np.all(np.isfinite(noise)):
+        raise ValueError("additive noise values f - g must be finite")
     recon = float(np.max(np.abs(g_vals + noise - f_vals)))
     return _noise_model("additive", g_vals, noise,
                         sub(spec.f_poly, spec.g_poly),

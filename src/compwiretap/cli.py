@@ -129,7 +129,6 @@ class _Terms:
 
     # per mask byte, its variables' lines, each a separator and an index
     _LINES = funcdsl._piece_tables(",\n        {}".format)
-    _MINUS = np.array(["", "-"], dtype=object)
 
     def __init__(self, poly):
         (self.masks, values, self.negative,
@@ -158,32 +157,24 @@ class _Terms:
         texts = self.texts.tolist()
         mags = np.empty(len(texts))
         mags[self.which] = np.abs(self.floats)
-        coefficients = np.array(
-            [text if "." in text or "e" in text else repr(mag)
-             for text, mag in zip(texts, mags.tolist())],
-            dtype=object)[self.which]
-        # a row's pieces: the separator, the coefficient's sign and
-        # magnitude, the exact text's sign and magnitude, a line of
-        # variables per mask byte in use (the first without its comma)
-        # and the row's end.  A nonzero value and its float, -0.0
-        # included, have the same sign.
-        minus = self._MINUS.take(self.negative).tolist()
-        columns = [
-            [',\n    {\n      "coefficient": '] * count,
-            minus,
-            coefficients.tolist(),
-            [',\n      "exact": "'] * count,
-            minus,
-            self.texts[self.which].tolist(),
-            ['",\n      "variables": ['] * count,
-            *funcdsl._byte_pieces(self._LINES, self.masks, self.masks != 0),
-            ["\n      ]\n    }"] * count]
-        parts = funcdsl._interleave(columns)
-        parts[0] = '[\n    {\n      "coefficient": '
+        coefficients = [text if "." in text or "e" in text else repr(mag)
+                        for text, mag in zip(texts, mags.tolist())]
+        # a row's head runs from its separator to its variables, then
+        # come a line of variables per mask byte in use (the first
+        # without its comma) and the row's end.  A nonzero value and its
+        # float, -0.0 included, have the same sign.
+        heads = np.array(
+            [f',\n    {{\n      "coefficient": {sign}{coefficient},\n'
+             f'      "exact": "{sign}{text}",\n      "variables": ['
+             for sign in ("", "-") for coefficient, text in zip(coefficients, texts)],
+            dtype=object)
+        parts = funcdsl._term_pieces(heads, self._LINES, self.masks, self.negative,
+                                     self.which, ("\n      ]\n    }",))
+        parts[0] = "[" + parts[0][1:]
         if not self.masks[0]:
             # only the constant term, first in canonical order, has no
             # variables
-            parts[len(columns) - 1] = "]\n    }"
+            parts[len(parts) // count - 1] = "]\n    }"
         parts.append("\n  ]")
         return "".join(parts)
 

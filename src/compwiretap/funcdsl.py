@@ -248,15 +248,14 @@ def _piece_tables(piece) -> tuple:
     return tuple(tables)
 
 
-def _byte_pieces(tables: tuple, masks: np.ndarray, bare: np.ndarray) -> list:
+def _byte_pieces(tables: tuple, masks: np.ndarray) -> list:
     """Per mask byte any mask uses, byte 0 first, the list of each mask's
-    entry of that byte's table from ``_piece_tables``.  A mask where
-    ``bare`` is set takes its first nonzero byte's entry without its
-    first character."""
+    entry of that byte's table from ``_piece_tables``.  Each mask takes
+    its first nonzero byte's entry without its first character."""
     last = max(0, int(masks.max()).bit_length() - 1) // 8
-    # a bare mask reads the tables' second halves up to its first nonzero
+    # a mask reads the tables' second halves up to its first nonzero
     # byte: a zero byte's entry is "" in both halves
-    offset = 256 * bare
+    offset = 256
     pieces = []
     for i in range(last):
         byte = (masks >> (8 * i)) & 255
@@ -268,10 +267,17 @@ def _byte_pieces(tables: tuple, masks: np.ndarray, bare: np.ndarray) -> list:
     return pieces
 
 
-def _interleave(columns: list) -> list:
-    """Equal-length ``columns`` as one list, row by row: the first item
-    of each column, then the second of each, and so on."""
-    parts = [None] * (len(columns) * len(columns[0]))
+def _term_pieces(heads, tables, masks, negative, which, ends=()) -> list:
+    """The terms' rows of pieces as one list, row after row.
+
+    A term's row is its head, ``heads[which + len(heads) // 2 *
+    negative]`` (the first half of ``heads`` for positive terms, the
+    second for negative ones, ``which`` indexing each half), then its
+    pieces of ``tables`` from ``_byte_pieces``, then ``ends``.  Each
+    column of the rows is put in place by one slice assignment."""
+    columns = [heads[which + len(heads) // 2 * negative].tolist(),
+               *_byte_pieces(tables, masks), *([end] * masks.size for end in ends)]
+    parts = [None] * (len(columns) * masks.size)
     for i, column in enumerate(columns):
         parts[i::len(columns)] = column
     return parts
@@ -279,7 +285,6 @@ def _interleave(columns: list) -> list:
 
 _NAMES = _piece_tables("*x{}".format)
 _VARIABLES = _byte_tables(list)
-_SIGNS = np.array([" + ", " - "], dtype=object)
 
 
 def term_variables(masks: np.ndarray) -> list:
@@ -335,20 +340,21 @@ def serialize_poly(poly: MultilinearPolynomial) -> str:
 
 def _join_terms(masks, negative, texts, which) -> str:
     """``serialize_poly``'s text from the arrays of ``canonical_terms``,
-    built from whole-array pieces.
+    built from whole-array pieces (``_term_pieces``).
 
-    Each term is a row of pieces: its sign, its magnitude, then its
-    variables' names, one piece per mask byte in use.  A magnitude 1 of
-    a term with variables is dropped with the ``*`` after it."""
+    A term's head is its sign (``" + "`` or ``" - "``), its magnitude and
+    ``*``; a magnitude 1 is left out with its ``*``.  Its variables'
+    names follow, such as ``x9*x11``."""
     if not masks.size:
         return "0"
-    bare = (texts == "1")[which]
-    bare[0] &= masks[0] != 0  # only the first term can be the constant
-    mags = texts[which]
-    mags[bare] = ""
-    parts = _interleave([_SIGNS.take(negative).tolist(), mags.tolist(),
-                         *_byte_pieces(_NAMES, masks, bare)])
-    parts[0] = "-" if negative[0] else ""
+    mags = texts.tolist()
+    heads = np.array([f" {sign} " if mag == "1" else f" {sign} {mag}*"
+                      for sign in "+-" for mag in mags], dtype=object)
+    parts = _term_pieces(heads, _NAMES, masks, negative, which)
+    # the first term has no separator; only it can be the constant, whose
+    # magnitude stays, 1 included
+    first = parts[0][3:] if masks[0] else mags[which[0]]
+    parts[0] = "-" + first if negative[0] else first
     return "".join(parts)
 
 

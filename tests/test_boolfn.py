@@ -412,11 +412,10 @@ def test_is_boolean_valued_poly_fails_on_values_beyond_float_range(
         text, n, error, message):
     # the error of the table's own check, at every n
     poly = parse_poly(text, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(error) as table_error:
-            inverse_wht(poly)
-        with pytest.raises(error) as flag_error:
-            boolfn.is_boolean_valued_poly(poly)
+    with pytest.raises(error) as table_error:
+        inverse_wht(poly)
+    with pytest.raises(error) as flag_error:
+        boolfn.is_boolean_valued_poly(poly)
     assert str(flag_error.value) == str(table_error.value)
     assert message is None or str(flag_error.value) == message
 

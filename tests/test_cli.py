@@ -550,11 +550,32 @@ def test_analyze_above_n16_reports_the_boolean_flag(capsys, text, n, expected):
 
 @pytest.mark.parametrize("text", ["1e308*x1 + 1e308*x2", "1e308*x1 + 1e308*x20"])
 def test_analyze_values_beyond_float_range_exit_1(capsys, text):
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["analyze", "--f", text]) == 1
+    assert main(["analyze", "--f", text]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: table values must be finite\n"
+
+
+OVERFLOW_REQUESTS = [
+    *(([command, "--f", f"1e308*x1 + 1e308*x{n}", *(["--g", "x1"] * pair)],
+       "error: table values must be finite\n")
+      for n in (2, 20) for command, pair in [("analyze", False), ("lemmas", True),
+                                             ("channel", True), ("commute", True)]),
+    # f - g is 2e308 where x1 = 1 and xn = -1
+    *((["channel", "--f", "1e308*x1", f"--g=-1e308*x{n}"],
+       "error: additive noise values f - g must be finite\n") for n in (2, 20)),
+]
+
+
+@pytest.mark.parametrize("argv, err", OVERFLOW_REQUESTS,
+                         ids=[" ".join(argv) for argv, _ in OVERFLOW_REQUESTS])
+def test_values_beyond_float_range_print_one_error_line(argv, err):
+    # in a process of its own, since pytest diverts the warnings that
+    # numpy would print on stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "compwiretap.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
 
 
 def test_analyze_n24_holds_no_dense_table(capsys):

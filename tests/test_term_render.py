@@ -143,6 +143,13 @@ JOIN_EXAMPLES = [
     # 48 terms over all three bytes
     MultilinearPolynomial(24, {m * 0x050301: Fraction((-1) ** m, 1 + m % 3)
                                for m in range(48)}),
+    # the first-term fix-ups: a constant 1 keeps its magnitude, a leading
+    # -1 before variables keeps its sign alone
+    MultilinearPolynomial(24, {0: 1, 1: 1}),  # 1 + x1
+    MultilinearPolynomial(24, {1: -1}),  # -x1
+    MultilinearPolynomial(24, {0: -1}),
+    MultilinearPolynomial(24, {1 << 23: 1}),  # x24: two zero bytes first
+    MultilinearPolynomial(24, {1 << 8: -1, 1: 1}),  # x1 - x9
 ]
 
 
