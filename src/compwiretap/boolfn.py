@@ -266,13 +266,26 @@ class MultilinearPolynomial:
 _MAX_WORKERS = 4
 
 
+class _Inline:
+    """The executor of one worker: each task runs when it is handed over,
+    on the calling thread."""
+
+    map = staticmethod(map)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def _pool(tasks: int) -> tuple:
     """``(workers, pool)`` for ``tasks`` independent tasks.
 
     ``workers`` is the least of the cores this process may run on, of
-    :data:`_MAX_WORKERS` and of ``tasks``.  ``pool`` is a context manager:
-    a fresh thread pool of that many workers, or, for one worker, a null
-    context that yields None and starts no thread.
+    :data:`_MAX_WORKERS` and of ``tasks``.  ``pool`` is a context manager
+    that yields an executor with ``map`` and ``submit``: a fresh thread
+    pool of that many workers, or, for one worker, an inline executor
+    that runs each task when it is handed over.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -280,7 +293,7 @@ def _pool(tasks: int) -> tuple:
         cores = os.cpu_count() or 1
     workers = max(1, min(cores, _MAX_WORKERS, tasks))
     if workers == 1:
-        return 1, nullcontext()
+        return 1, nullcontext(_Inline())
     return workers, concurrent.futures.ThreadPoolExecutor(workers)
 
 
@@ -306,48 +319,42 @@ def _levels(a: np.ndarray, scratch: np.ndarray, h: int) -> None:
             h <<= 1
 
 
-def _butterfly(a: np.ndarray, used=None, emit=None, rows=None) -> np.ndarray:
-    """Walsh-Hadamard butterfly, O(n * 2**n).
+def _butterfly(grid: np.ndarray, used=None, emit=None, rows=None) -> np.ndarray:
+    """Walsh-Hadamard butterfly, O(n * 2**n), in place on a grid of rows.
 
-    Computes ``out[S] = sum_i (-1)**popcount(i & S) * a[i]``.  The levels
-    with ``h`` below :data:`_BLOCK` run one cache block (a row of the
-    ``(rows, block)`` grid) at a time, in place; the remaining levels run
-    on column strips of the grid, copied into scratch.  Every element
-    sees the same ``x + y`` and ``x - y`` in the same level order as a
-    plain level loop, so the result is bit-identical to it.
+    Computes ``out[S] = sum_i (-1)**popcount(i & S) * a[i]`` for the
+    table ``a`` held row by row in the ``(rows, block)`` grid.  The
+    levels with ``h`` below ``block`` run one row (a cache block) at a
+    time, in place; the remaining levels run on column strips of the
+    grid, copied into scratch.  Every element sees the same ``x + y``
+    and ``x - y`` in the same level order as a plain level loop, so the
+    result is bit-identical to it.  One row is one strip, with no levels.
 
     ``used``, if given, lists in ascending order the rows that may hold
     a nonzero value; the block levels run on those only.  Every other
     row is taken as all ``+0.0`` and never read: the levels would leave
     it so, since ``+0.0 + +0.0`` and ``+0.0 - +0.0`` are both ``+0.0``,
-    so its strips start from ``+0.0``.  ``a`` is the whole table, flat;
-    or, when ``rows`` is given, a ``(len(used), _BLOCK)`` array of the
-    listed rows alone.
+    so its strips start from ``+0.0``.  ``grid`` holds every row; or,
+    when ``rows`` is given, the listed rows alone.
 
     Each strip comes out of its levels final for every row and goes to
     ``emit(c, strip)``: ``strip`` is flat scratch holding the
     ``(rows, width)`` strip that starts at column ``c``, which ``emit``
-    must not keep.  By default it is written back into the whole table
-    ``a``.  One row has no strips, and ``emit`` is not called.
+    must not keep.  By default it is written back into ``grid``.
 
-    With more than one row, the rows and then the strips are dealt out
-    to worker threads (see :func:`_pool`), each with its own scratch,
-    and ``emit`` runs on them; numpy releases the interpreter lock
-    inside each level.  Rows and strips are disjoint, so the result does
-    not depend on the number of workers.
+    The rows and then the strips are dealt out to the workers of
+    :func:`_pool`, each with its own scratch, and ``emit`` runs on them;
+    numpy releases the interpreter lock inside each level.  Rows and
+    strips are disjoint, so the result does not depend on the number of
+    workers.  One row starts no thread.
     """
-    if rows is None:
-        grid = a.reshape(-1, min(a.size, _BLOCK))
-        rows = len(grid)
-        used = range(rows) if used is None else used
-        stored = used
-    else:
-        grid = a
-        stored = range(len(used))
+    rows = rows or len(grid)
+    used = range(rows) if used is None else used
+    stored = used if len(grid) == rows else range(len(used))
     block = grid.shape[1]
     width = block // rows  # rows is at most block, since size <= 2**MAX_N
     workers, pool = _pool(rows)
-    scratch = np.empty((workers, block + block // 2), dtype=a.dtype)
+    scratch = np.empty((workers, block + block // 2), dtype=grid.dtype)
 
     def write_back(c, strip):
         grid[:, c:c + width] = strip.reshape(rows, width)
@@ -371,17 +378,14 @@ def _butterfly(a: np.ndarray, used=None, emit=None, rows=None) -> np.ndarray:
             emit(c, strip)
 
     with pool as executor:
-        for phase in (blocks, strips) if rows > 1 else (blocks,):
-            if executor is None:
-                phase(0)
-            else:
-                list(executor.map(phase, range(workers)))
-    return a
+        for phase in (blocks, strips):
+            list(executor.map(phase, range(workers)))
+    return grid
 
 
 def _spectrum(a: np.ndarray, n: int) -> MultilinearPolynomial:
     """Coefficients of the table held in ``a`` (overwritten), pruned."""
-    _butterfly(a)
+    _butterfly(a.reshape(-1, min(a.size, _BLOCK)))
     a /= 1 << n
     # ~(|c| <= tol) keeps NaN, so an overflowed transform fails loudly.
     keep = np.flatnonzero(~(np.abs(a) <= PRUNE_TOL))
@@ -402,35 +406,30 @@ def _values(poly: MultilinearPolynomial) -> np.ndarray:
     alone; the bytes are those of a transform of a zeroed table.
     """
     size = 1 << poly.n
-    block = min(size, _BLOCK)
-    used = _used_rows(poly, block)
-    if size == block:  # one block, and no strips to write it
-        a = np.zeros(size, dtype=np.float64)
-    else:
-        a = np.empty(size, dtype=np.float64)
-        a.reshape(-1, block)[used] = 0.0
+    a = np.empty(size, dtype=np.float64)
+    grid = a.reshape(-1, min(size, _BLOCK))
+    used = _used_rows(poly, grid.shape[1])
+    grid[used] = 0.0
     a[poly.masks] = poly.values  # float(v) for each exact coefficient
-    return _butterfly(a, used)
+    _butterfly(grid, used)
+    return a
 
 
 def _value_strips(poly: MultilinearPolynomial, emit) -> None:
     """Hand each final column strip of the polynomial's values to
-    ``emit(c, strip)`` (see :func:`_butterfly`).  Above :data:`_BLOCK`
-    points it holds only the cache blocks that hold a mask: for the n=24
-    chain, 9 of 256 blocks, 4.5 MiB where the table is 128 MiB.  Up to
-    :data:`_BLOCK` points the table is one row, and its values are one
-    strip, emitted on the calling thread.
+    ``emit(c, strip)`` (see :func:`_butterfly`).  It holds only the cache
+    blocks that hold a mask: for the n=24 chain, 9 of 256 blocks, 4.5 MiB
+    where the table is 128 MiB.  Up to :data:`_BLOCK` points the table is
+    one row, and its values are one strip, emitted on the calling thread.
     """
-    if (1 << poly.n) <= _BLOCK:
-        emit(0, _values(poly))
-        return
-    rows = (1 << poly.n) // _BLOCK
-    used = _used_rows(poly, _BLOCK)
-    blocks = np.zeros((used.size, _BLOCK), dtype=np.float64)
+    size = 1 << poly.n
+    block = min(size, _BLOCK)
+    used = _used_rows(poly, block)
+    blocks = np.zeros((used.size, block), dtype=np.float64)
     # float(v) for each exact coefficient
-    blocks[np.searchsorted(used, poly.masks // _BLOCK),
-           poly.masks % _BLOCK] = poly.values
-    _butterfly(blocks, used, emit, rows)
+    blocks[np.searchsorted(used, poly.masks // block),
+           poly.masks % block] = poly.values
+    _butterfly(blocks, used, emit, size // block)
 
 
 def wht(table: TruthTable) -> MultilinearPolynomial:

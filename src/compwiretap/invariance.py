@@ -196,10 +196,10 @@ def hypothesis_check(dist: InputDistribution, samples: int = 100_000,
     Each moment is tested with tolerance 5 standard errors; declared
     exact moments are tested exactly (zero stderr).
 
-    The draw is made here; the four powers are independent tasks on
-    worker threads (see :func:`boolfn._pool`), the costly k = 4 and 3
-    first.  Each task runs the same numpy calls on the same array, so
-    the report does not depend on the number of workers.
+    The draw is made here; the four powers are independent tasks for
+    the workers of :func:`boolfn._pool`, the costly k = 4 and 3 first.
+    Each task runs the same numpy calls on the same array, so the report
+    does not depend on the number of workers.
 
     When every sample is an integer of magnitude at most 2**13, each
     power is a running product: its values are exact, so they are the
@@ -224,11 +224,8 @@ def hypothesis_check(dist: InputDistribution, samples: int = 100_000,
 
     _, pool = _pool(4)
     with pool as executor:
-        if executor is None:
-            stats = [power_moment(k) for k in range(1, 5)]
-        else:
-            tasks = {k: executor.submit(power_moment, k) for k in (4, 3, 2, 1)}
-            stats = [tasks[k].result() for k in range(1, 5)]
+        tasks = {k: executor.submit(power_moment, k) for k in (4, 3, 2, 1)}
+        stats = [tasks[k].result() for k in range(1, 5)]
     emp_moments, emp_stderrs = zip(*stats)
     if dist.exact_moments is not None:
         moments = tuple(float(m) for m in dist.exact_moments)
@@ -513,12 +510,13 @@ def _gaussian_mc(polys: list, psi, samples: int, seed: int) -> list:
     each polynomial in turn; each polynomial keeps its own reduction
     state, so its result is the same as on its own.
 
-    With more than one chunk, worker threads (see
-    :func:`boolfn._pool`) generate the chunks ahead into a ring of
-    ``workers + 1`` buffers owned here, at most ``workers`` chunks ahead
-    of the one being reduced.  Everything else -- ``evaluate_batch``,
-    psi and the reduction -- stays on the calling thread in chunk order,
-    so the result does not depend on the number of workers.
+    The workers of :func:`boolfn._pool` generate the chunks ahead into
+    a ring of ``min(workers + 1, chunks)`` buffers owned here, at most
+    ``workers`` chunks ahead of the one being reduced; one worker is the
+    calling thread, one chunk ahead.  Everything else --
+    ``evaluate_batch``, psi and the reduction -- stays on the calling
+    thread in chunk order, so the result does not depend on the number
+    of workers.
     """
     if samples < 1000:
         raise PreconditionError(f"need at least 10^3 samples, got {samples}")
@@ -533,7 +531,7 @@ def _gaussian_mc(polys: list, psi, samples: int, seed: int) -> list:
     moments = [_Moments() for _ in polys]
     starts = range(0, samples, _CHUNK)
     workers, pool = _pool(len(starts))
-    ring = np.empty((workers + 1 if workers > 1 else 1, n, min(_CHUNK, samples)))
+    ring = np.empty((min(workers + 1, len(starts)), n, min(_CHUNK, samples)))
 
     def generate(k):
         length = min(_CHUNK, samples - starts[k])
@@ -541,15 +539,11 @@ def _gaussian_mc(polys: list, psi, samples: int, seed: int) -> list:
                                out=ring[k % len(ring), :, :length])
 
     with pool as executor:
-        if executor is not None:
-            ahead = deque(executor.submit(generate, k) for k in range(workers))
+        ahead = deque(executor.submit(generate, k) for k in range(workers))
         for k in range(len(starts)):
-            if executor is None:
-                block = generate(k)
-            else:
-                block = ahead.popleft().result()
-                if k + workers < len(starts):
-                    ahead.append(executor.submit(generate, k + workers))
+            block = ahead.popleft().result()
+            if k + workers < len(starts):
+                ahead.append(executor.submit(generate, k + workers))
             for poly, state in zip(polys, moments):
                 vals = np.asarray(fn(evaluate_batch(poly, block)), dtype=np.float64)
                 state.add(vals, len(block))

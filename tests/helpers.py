@@ -274,6 +274,11 @@ def reference_butterfly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def block_grid(a: np.ndarray) -> np.ndarray:
+    """A copy of the table ``a`` as the butterfly's grid of cache blocks."""
+    return a.copy().reshape(-1, min(a.size, boolfn._BLOCK))
+
+
 def reference_values(poly: MultilinearPolynomial) -> np.ndarray:
     """Dense values of a polynomial: one coefficient stored per Python
     step, then the plain level loop."""

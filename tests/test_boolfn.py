@@ -30,6 +30,7 @@ from compwiretap import (
 from compwiretap import boolfn, parse_poly, serialize_poly
 from helpers import (
     all_points,
+    block_grid,
     brute_product_coeffs,
     chain_pair_polys,
     convolve_coeffs,
@@ -512,7 +513,8 @@ def test_mul_dense_boolean_pair_matches_convolution(monkeypatch):
 @pytest.mark.parametrize("n", [*range(1, 11), 18])
 def test_butterfly_matches_level_loop(n):
     a = np.random.default_rng(n).standard_normal(1 << n)
-    assert np.array_equal(boolfn._butterfly(a.copy()), reference_butterfly(a))
+    assert np.array_equal(boolfn._butterfly(block_grid(a)).ravel(),
+                          reference_butterfly(a))
 
 
 @pytest.mark.parametrize("block, max_n", [(4, 4), (32, 10)])
@@ -521,7 +523,8 @@ def test_butterfly_small_blocks(monkeypatch, block, max_n):
     monkeypatch.setattr(boolfn, "_BLOCK", block)
     for n in range(1, max_n + 1):
         a = np.random.default_rng(n).standard_normal(1 << n)
-        assert np.array_equal(boolfn._butterfly(a.copy()), reference_butterfly(a))
+        assert np.array_equal(boolfn._butterfly(block_grid(a)).ravel(),
+                          reference_butterfly(a))
 
 
 @pytest.mark.parametrize("n", [17, 18, 20])
@@ -530,7 +533,7 @@ def test_butterfly_is_the_same_for_any_worker_count(monkeypatch, n):
     expected = reference_butterfly(a.copy()).tobytes()
     for workers in (1, 2):
         use_workers(monkeypatch, workers)
-        assert boolfn._butterfly(a.copy()).tobytes() == expected
+        assert boolfn._butterfly(block_grid(a)).tobytes() == expected
 
 
 @pytest.mark.parametrize("block, max_n", [(4, 4), (32, 10)])
@@ -540,7 +543,7 @@ def test_butterfly_small_blocks_on_two_workers(monkeypatch, block, max_n):
     use_workers(monkeypatch, 2)
     for n in range(1, max_n + 1):
         a = np.random.default_rng(n).standard_normal(1 << n)
-        assert boolfn._butterfly(a.copy()).tobytes() == reference_butterfly(a).tobytes()
+        assert boolfn._butterfly(block_grid(a)).tobytes() == reference_butterfly(a).tobytes()
 
 
 def test_one_block_starts_no_thread(monkeypatch):
@@ -549,7 +552,17 @@ def test_one_block_starts_no_thread(monkeypatch):
     table = random_boolean_table(np.random.default_rng(5), 16)
     assert inverse_wht(wht(table)) == table
     with pytest.raises(AssertionError, match="thread pool"):
-        boolfn._butterfly(np.ones(1 << 17))
+        boolfn._butterfly(np.ones((2, 1 << 16)))
+
+
+def test_one_row_is_one_strip_on_the_calling_thread(monkeypatch):
+    refuse_threads(monkeypatch)
+    a = np.random.default_rng(7).standard_normal(1 << 16)
+    expected = reference_butterfly(a.copy()).tobytes()
+    emitted = []
+    boolfn._butterfly(block_grid(a), emit=lambda c, strip: emitted.append(
+        (c, strip.tobytes())))
+    assert emitted == [(0, expected)]
 
 
 def _workers_for(tasks):
@@ -582,7 +595,7 @@ def test_butterfly_many_workers_fast_switching(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            assert (boolfn._butterfly(a.copy()).tobytes()
+            assert (boolfn._butterfly(block_grid(a)).tobytes()
                     == reference_butterfly(a.copy()).tobytes())
             assert boolfn._values(sparse).tobytes() == expected
     finally:

@@ -753,19 +753,22 @@ def test_one_chunk_starts_no_thread(monkeypatch):
 
 
 def test_gaussian_mc_holds_one_chunk_per_worker_and_one_more(monkeypatch):
-    # the ring of caller-owned chunks bounds what is in flight
-    use_workers(monkeypatch, 2)
+    # the ring of caller-owned chunks bounds what is in flight: one more
+    # than the workers, and no more than the chunks
     f, _ = chain_pair_polys(16)
     chunk = 16 * invariance._CHUNK * 8
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        expect_gaussian_mc(f, "cos", 1_000_000, seed=4)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * chunk + (4 << 20)
+    for workers, samples, chunks in [(2, 1_000_000, 3), (1, 1_000_000, 2),
+                                     (2, 2 * invariance._CHUNK, 2)]:
+        use_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            expect_gaussian_mc(f, "cos", samples, seed=4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < chunks * chunk + (4 << 20), (workers, samples)
 
 
 def test_verify_invariance_many_validation():
