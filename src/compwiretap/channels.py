@@ -99,8 +99,6 @@ class WiretapSpec:
 
     @classmethod
     def from_tables(cls, f: TruthTable, g: TruthTable) -> "WiretapSpec":
-        if f.n != g.n:
-            raise ValueError(f"f and g must share n, got {f.n} and {g.n}")
         return cls(wht(f), wht(g), {"f": f, "g": g})
 
 

@@ -381,13 +381,16 @@ def expect_exact(poly: MultilinearPolynomial, psi) -> float:
 
     def fold(c, strip):
         width = strip.size // rows
-        values = np.asarray(fn(strip), dtype=np.float64).reshape(rows, width)
-        leaves[:, c // leaf:(c + width) // leaf] = _leaf_sums(values)
+        # numpy's error state is per thread, and fold runs on the workers
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(fn(strip), dtype=np.float64).reshape(rows, width)
+            leaves[:, c // leaf:(c + width) // leaf] = _leaf_sums(values)
 
     _value_strips(poly, fold)
-    sums = _row_sums(leaves)
-    while sums.size > 1:
-        sums = sums[0::2] + sums[1::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _row_sums(leaves)
+        while sums.size > 1:
+            sums = sums[0::2] + sums[1::2]
     return float(sums[0] / size)
 
 
@@ -538,7 +541,7 @@ def _gaussian_mc(polys: list, psi, samples: int, seed: int) -> list:
         return _gaussian_chunk(seed, n, starts[k], length,
                                out=ring[k % len(ring), :, :length])
 
-    with pool as executor:
+    with pool as executor, np.errstate(over="ignore", invalid="ignore"):
         ahead = deque(executor.submit(generate, k) for k in range(workers))
         for k in range(len(starts)):
             block = ahead.popleft().result()
@@ -580,7 +583,15 @@ class InvarianceReport(Report):
 
 def _report(name: str, lhs: float, estimate: tuple, bound: float,
             samples: int, seed: int, z: float) -> InvarianceReport:
+    """The report of one comparison; a side that is not finite, such as
+    psi of values beyond float range, is refused with ``ValueError``, so
+    that no verdict rests on it."""
     rhs, stderr = estimate
+    for side, value in (("exact side E[psi(F(x))]", lhs),
+                        ("Gaussian estimate of E[psi(F(g))]", rhs),
+                        ("standard error of the Gaussian estimate", stderr)):
+        if not math.isfinite(value):
+            raise ValueError(f"the {side} is not finite: {value!r}")
     delta = abs(lhs - rhs)
     return InvarianceReport(
         psi=name,

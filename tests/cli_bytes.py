@@ -33,6 +33,11 @@ their table files into a temporary directory, and a third group,
 * ``analyze`` of an n=1 CSV table of ``+1``/``-1`` point rows, and of
   one with a 4-digit exponent (exit code 1).
 
+The ``extra`` group is answered a second time, as ``extra_1core``, by
+processes pinned to one core, so every pooled loop takes its one-worker
+path, which a machine of several cores otherwise takes only for a loop
+of one task.
+
 It answers every request in each output format (``json``, ``pretty``
 and ``csv``) through ``compwiretap.cli.main`` with each tree, each tree
 in a fresh process, and compares per answer the exit code, the length
@@ -40,7 +45,10 @@ and sha256 of stdout, and stderr.  It prints every difference and, per
 workload, the difference count and each tree's peak RSS (``ru_maxrss``
 of the process that answered) with the first request after which the
 process had reached it, and exits 1 if there is a difference, 0
-otherwise.  Sampled requests get the seed the benchmark's first pass
+otherwise.  Each process runs with ``MALLOC_MMAP_THRESHOLD_`` fixed at
+128 KiB: glibc otherwise raises its threshold as large blocks are freed,
+so a process's peak RSS would follow its allocation history, not its
+tree.  Sampled requests get the seed the benchmark's first pass
 gives them.
 
 No process writes bytecode, so nothing is left under ``perfbench/`` or
@@ -95,11 +103,17 @@ FIELDS = ("exit code", "stdout length", "stdout sha256", "stderr")
 FORMATS = ("json", "pretty", "csv")
 
 
-def answers(tree: str, requests_path: str) -> tuple:
+def answers(tree: str, requests_path: str, one_core: bool) -> tuple:
     """(peak RSS in MB, the index of the first request after which the
-    process had reached it, the answers) of one tree in a fresh process."""
+    process had reached it, the answers) of one tree in a fresh process,
+    pinned to one core if ``one_core``."""
+    def pin():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
     run = subprocess.run([sys.executable, "-B", "-c", ANSWER, tree, requests_path],
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "MALLOC_MMAP_THRESHOLD_": str(128 << 10)},
+                         preexec_fn=pin if one_core else None)
     peak_kib, result = json.loads(run.stdout)
     reached = next(i for i, answer in enumerate(result) if answer[-1] == peak_kib)
     return peak_kib * 1024 / 1e6, reached, result
@@ -182,10 +196,10 @@ def main(argv=None) -> int:
 
     differences = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in (*workloads.WORKLOADS, "extra"):
+        for name in (*workloads.WORKLOADS, "extra", "extra_1core"):
             directory = os.path.join(tmp, name)
             os.mkdir(directory)
-            if name == "extra":
+            if name.startswith("extra"):
                 requests = extra(args.seed, directory)
             else:
                 requests = [workloads.argv_for(request, args.seed, 0, index)
@@ -197,7 +211,7 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(argvs, handle)
             (old_peak, old_at, old), (new_peak, new_at, new) = (
-                answers(tree, path) for tree in trees)
+                answers(tree, path, name == "extra_1core") for tree in trees)
             found = 0
             for index, (argv, a, b) in enumerate(zip(argvs, old, new)):
                 for field, x, y in zip(FIELDS, a, b):  # not the peak RSS so far

@@ -433,7 +433,7 @@ def test_spec_flags_read_the_tables_it_holds_else_the_polynomials():
 
 
 def test_spec_rejects_mismatched_tables():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^f and g must share n, got \[1, 2\]$"):
         WiretapSpec.from_tables(
             TruthTable(1, [1.0, -1.0]), TruthTable(2, [1.0, 1.0, 1.0, 1.0]))
 

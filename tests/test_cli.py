@@ -564,6 +564,22 @@ OVERFLOW_REQUESTS = [
     # f - g is 2e308 where x1 = 1 and xn = -1
     *((["channel", "--f", "1e308*x1", f"--g=-1e308*x{n}"],
        "error: additive noise values f - g must be finite\n") for n in (2, 20)),
+    # psi of values beyond float range: invariance refuses a side that is
+    # not finite, where it used to print NaN or Infinity and exit 3
+    *((["invariance", "--f", f, "--psi", psi, "--samples", samples, *more],
+       f"error: the {side} is not finite: {value}\n")
+      for f, psi, samples, more, side, value in [
+          ("1e60*x1", "quartic", "1000", [],
+           "standard error of the Gaussian estimate", "nan"),
+          ("1e78*x1", "quartic", "1000", ["--C", "0"],
+           "exact side E[psi(F(x))]", "inf"),
+          ("1e100*x1", "square", "70000", [],
+           "standard error of the Gaussian estimate", "nan"),
+          ("1e153*x1", "square", "70000", [],
+           "Gaussian estimate of E[psi(F(g))]", "inf"),
+          # psi runs on the butterfly's workers
+          ("1e78*x17", "quartic", "1000", ["--C", "0"],
+           "exact side E[psi(F(x))]", "inf")]),
 ]
 
 
