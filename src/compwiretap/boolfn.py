@@ -32,6 +32,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational, Real
+from types import MappingProxyType
 
 import numpy as np
 
@@ -171,37 +172,6 @@ def _terms(n: int, masks, values) -> tuple:
     return masks, values
 
 
-class _Coeffs(Mapping):
-    """Read-only mask -> coefficient view of a polynomial's arrays.
-
-    Its length is the term count; the mapping itself is built on first
-    lookup or iteration.
-    """
-
-    __slots__ = ("_poly", "_map")
-
-    def __init__(self, poly):
-        self._poly, self._map = poly, None
-
-    def _items(self) -> dict:
-        if self._map is None:
-            poly = self._poly
-            self._map = dict(zip(poly.masks.tolist(), poly.values.tolist()))
-        return self._map
-
-    def __len__(self):
-        return self._poly.masks.size
-
-    def __getitem__(self, mask):
-        return self._items()[mask]
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def __repr__(self):
-        return repr(self._items())
-
-
 class MultilinearPolynomial:
     """Sparse Fourier expansion: subset masks with real coefficients.
 
@@ -211,7 +181,7 @@ class MultilinearPolynomial:
     coefficients as given, such as exact Fractions).  Zero coefficients
     are never stored.  The order is the order in which
     :func:`evaluate_batch` adds the terms.  ``coeffs`` is a read-only
-    mask -> coefficient mapping over the arrays.
+    mask -> coefficient mapping of the terms, built on first read.
     """
 
     __slots__ = ("n", "masks", "values", "_coeffs")
@@ -239,8 +209,9 @@ class MultilinearPolynomial:
     @property
     def coeffs(self) -> Mapping:
         if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", _Coeffs(self))
-        return self._coeffs
+            object.__setattr__(self, "_coeffs", dict(zip(self.masks.tolist(),
+                                                         self.values.tolist())))
+        return MappingProxyType(self._coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearPolynomial):
@@ -392,12 +363,6 @@ def _spectrum(a: np.ndarray, n: int) -> MultilinearPolynomial:
     return MultilinearPolynomial(n, (keep, a[keep]))
 
 
-def _used_rows(poly: MultilinearPolynomial, block: int) -> np.ndarray:
-    """The block rows of the coefficient table that hold a mask."""
-    return np.flatnonzero(np.bincount(poly.masks // block,
-                                      minlength=(1 << poly.n) // block))
-
-
 def _values(poly: MultilinearPolynomial) -> np.ndarray:
     """Fresh float array of the polynomial on all 2**n points.
 
@@ -408,27 +373,35 @@ def _values(poly: MultilinearPolynomial) -> np.ndarray:
     size = 1 << poly.n
     a = np.empty(size, dtype=np.float64)
     grid = a.reshape(-1, min(size, _BLOCK))
-    used = _used_rows(poly, grid.shape[1])
+    used = np.flatnonzero(np.bincount(poly.masks // grid.shape[1], minlength=len(grid)))
     grid[used] = 0.0
     a[poly.masks] = poly.values  # float(v) for each exact coefficient
     _butterfly(grid, used)
     return a
 
 
-def _value_strips(poly: MultilinearPolynomial, emit) -> None:
+def _value_strips(poly: MultilinearPolynomial, emit,
+                  imag: MultilinearPolynomial | None = None) -> None:
     """Hand each final column strip of the polynomial's values to
     ``emit(c, strip)`` (see :func:`_butterfly`).  It holds only the cache
     blocks that hold a mask: for the n=24 chain, 9 of 256 blocks, 4.5 MiB
     where the table is 128 MiB.  Up to :data:`_BLOCK` points the table is
     one row, and its values are one strip, emitted on the calling thread.
+    With ``imag`` (on the same n), the grid is complex, ``imag`` in the
+    imaginary part: complex + and - act on each part alone, so each part
+    has the bits of its polynomial's own strips.
     """
+    polys = (poly,) if imag is None else (poly, imag)
     size = 1 << poly.n
     block = min(size, _BLOCK)
-    used = _used_rows(poly, block)
-    blocks = np.zeros((used.size, block), dtype=np.float64)
-    # float(v) for each exact coefficient
-    blocks[np.searchsorted(used, poly.masks // block),
-           poly.masks % block] = poly.values
+    # the rows of the coefficient table that hold a mask
+    used = np.flatnonzero(np.bincount(np.concatenate([p.masks for p in polys]) // block,
+                                      minlength=size // block))
+    blocks = np.zeros((used.size, block),
+                      dtype=np.float64 if imag is None else np.complex128)
+    for part, p in zip((blocks.real, blocks.imag), polys):
+        # float(v) for each exact coefficient
+        part[np.searchsorted(used, p.masks // block), p.masks % block] = p.values
     _butterfly(blocks, used, emit, size // block)
 
 
@@ -624,13 +597,13 @@ def is_boolean_valued_poly(poly: MultilinearPolynomial) -> bool:
 
 
 def is_boolean_function(poly: MultilinearPolynomial,
-                        table: TruthTable | None = None) -> bool:
-    """Whether the function is ±1-valued: read from ``table`` when one is
-    given, else from the values of ``poly``.  A table loaded from a file
-    decides for itself: the transform prunes coefficients at or below
-    :data:`PRUNE_TOL`, so its polynomial's values can differ from it."""
-    return (is_boolean_valued(table) if table is not None
-            else is_boolean_valued_poly(poly))
+                        values: np.ndarray | None = None) -> bool:
+    """Whether the function is ±1-valued: read from ``values`` (each
+    value it takes, as a loaded table's) when given, else from the values
+    of ``poly``.  A table loaded from a file decides for itself: the
+    transform prunes coefficients at or below :data:`PRUNE_TOL`, so its
+    polynomial's values can differ from it."""
+    return _near_pm1(values) if values is not None else is_boolean_valued_poly(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Alice broadcasts v = f(x); the eavesdropper wants u = g(x).  With x
 uniform on {-1,+1}^n this induces an exact joint distribution on (u, v),
 from which the forward channel Pr(v | u), the posterior channel
 Pr(u | v), the MAP estimate of u, and the additive (N = f - g) and
-multiplicative (N = f * g) noise decompositions are all computed by
-enumeration of the 2**n points.
+multiplicative (N = f * g) noise decompositions are all computed from
+one pass over the 2**n points, :attr:`WiretapSpec.pairs`: the distinct
+raw (g, f) value pairs with their counts and first points.
 
 Real-valued outputs are merged into alphabets with tolerance
 :data:`VALUE_MERGE_TOL` so that float dust from transform round-trips
@@ -24,11 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from .boolfn import (
+    _BLOCK,
     MultilinearPolynomial,
     PreconditionError,
     TruthTable,
+    _require_finite,
+    _value_strips,
     index_to_point,
-    inverse_wht,
     is_boolean_function,
     mul,
     sub,
@@ -49,9 +52,8 @@ class WiretapSpec:
 
     The pair is its two Fourier expansions, which the noise models and
     the bounds read, plus ``tables``: each table loaded from a file, by
-    function name (``"f"``, ``"g"``).  ``f_table`` and ``g_table`` build
-    a dense table with ``inverse_wht`` when an answer first reads it, and
-    keep it in ``tables``.
+    function name (``"f"``, ``"g"``).  Every answer that reads values
+    reads :attr:`pairs`.
     """
 
     f_poly: MultilinearPolynomial
@@ -67,21 +69,57 @@ class WiretapSpec:
     def n(self) -> int:
         return self.f_poly.n
 
-    def _table(self, name: str) -> TruthTable:
-        if name not in self.tables:
-            self.tables[name] = inverse_wht(getattr(self, f"{name}_poly"))
-        return self.tables[name]
+    @cached_property
+    def pairs(self) -> tuple:
+        """``(g, f, counts, first)``: the distinct raw (g(x), f(x)) value
+        pairs, sorted by g then f, how many points give each and the first
+        of them.  One pass over the column strips of
+        :func:`boolfn._value_strips` (one run for both expressions, f real
+        and g imaginary; a loaded table gives the same strips of its
+        values) keeps each strip's distinct pairs alone.  Raises
+        ``ValueError`` when a value is not finite."""
+        loaded = {name: table.values for name, table in self.tables.items()}
+        polys = [getattr(self, f"{name}_poly") for name in "fg" if name not in loaded]
+        block = min(1 << self.n, _BLOCK)
+        rows = (1 << self.n) // block
+        width, found = block // rows, []
 
-    f_table = property(lambda self: self._table("f"))
-    g_table = property(lambda self: self._table("g"))
+        def read(c, strip):
+            parts = iter((strip.real, strip.imag) if len(polys) == 2 else (strip,))
+            f, g = (loaded[name].reshape(rows, block)[:, c:c + width].ravel()
+                    if name in loaded else next(parts) for name in "fg")
+            g_values, g_labels = np.unique(g, return_inverse=True)
+            f_values, f_labels = np.unique(f, return_inverse=True)
+            # by pair, then by position in the strip, which is point order:
+            # fewer than 2**32 pairs by 2**16 positions
+            keyed = np.sort((g_labels * f_values.size + f_labels) * block
+                            + np.arange(block))
+            starts = np.flatnonzero(np.diff(keyed // block, prepend=-1))
+            pair, at = keyed[starts] // block, keyed[starts] % block
+            found.append((g_values[pair // f_values.size], f_values[pair % f_values.size],
+                          np.diff(starts, append=block), at // width * block + c + at % width))
+
+        if polys:
+            _value_strips(polys[0], read, *polys[1:])
+        else:
+            for c in range(0, block, width):
+                read(c, None)
+        g, f, counts, first = map(np.concatenate, zip(*found))
+        order = np.lexsort((first, f, g))  # by pair, then by first point
+        g, f, counts, first = g[order], f[order], counts[order], first[order]
+        starts = np.flatnonzero(np.r_[True, (g[1:] != g[:-1]) | (f[1:] != f[:-1])])
+        _require_finite(np.concatenate((g, f)))
+        return g[starts], f[starts], np.add.reduceat(counts, starts), first[starts]
 
     @cached_property
     def booleans(self) -> tuple:
         """``(f is ±1-valued, g is ±1-valued)``, decided once, both at
-        first read, by ``is_boolean_function``: from the table the spec
-        holds by then, else from the polynomial's value strips."""
+        first read, by ``is_boolean_function``: from the :attr:`pairs` or
+        else the table the spec holds by then, else from value strips."""
+        values = (dict(zip("gf", self.pairs)) if "pairs" in self.__dict__
+                  else {name: table.values for name, table in self.tables.items()})
         return tuple(is_boolean_function(getattr(self, f"{name}_poly"),
-                                         self.tables.get(name)) for name in "fg")
+                                         values.get(name)) for name in "fg")
 
     @classmethod
     def from_polys(cls, f: MultilinearPolynomial, g: MultilinearPolynomial,
@@ -151,27 +189,25 @@ def _merge_values(values: np.ndarray):
 
 
 def _cells(rows: np.ndarray, cols: np.ndarray):
-    """Both merged alphabets and each point's row-major (row, col) cell."""
+    """Both merged alphabets and each value pair's row-major (row, col) cell."""
     row_values, row_labels = _merge_values(rows)
     col_values, col_labels = _merge_values(cols)
     return row_values, col_values, row_labels * len(col_values) + col_labels
 
 
-def _histogram(rows: np.ndarray, cols: np.ndarray):
-    """Merged alphabets and joint of two value arrays on the uniform
-    points: each count over the 2**n points, exact up to 2**53.
-
-    Raises ``ValueError`` before any matrix exists when the joint would
-    have more than :data:`_MAX_CELLS` cells.
-    """
+def _histogram(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray):
+    """Merged alphabets and joint of value pairs given by ``counts`` of
+    the 2**n uniform points: each cell's count over 2**n, exact.  Raises
+    ``ValueError`` before any matrix exists when the joint would have
+    more than :data:`_MAX_CELLS` cells."""
     row_values, col_values, cells = _cells(rows, cols)
     shape = (len(row_values), len(col_values))
     if shape[0] * shape[1] > _MAX_CELLS:
         raise ValueError(
             f"a dense joint of {shape[0]} by {shape[1]} merged values needs "
             f"{shape[0] * shape[1]} cells, more than the cap of {_MAX_CELLS}")
-    counts = np.bincount(cells, minlength=shape[0] * shape[1])
-    return row_values, col_values, counts.reshape(shape) / rows.size
+    joint = np.bincount(cells, counts, minlength=shape[0] * shape[1])
+    return row_values, col_values, joint.reshape(shape) / counts.sum()
 
 
 @dataclass(frozen=True)
@@ -183,14 +219,13 @@ class JointDistribution(Report):
     probs: np.ndarray  # shape (|U|, |V|), sums to 1
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)  # a private copy
         if probs.shape != (len(self.u_values), len(self.v_values)):
             raise ValueError("joint matrix shape does not match alphabets")
         if np.any(probs < 0):
             raise ValueError("joint probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"joint must sum to 1, got {probs.sum()!r}")
-        probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -212,7 +247,7 @@ class DiscreteChannel(Report):
     dropped_inputs: tuple = ()
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        matrix = np.array(self.matrix, dtype=np.float64)  # a private copy
         if matrix.shape != (len(self.inputs), len(self.outputs)):
             raise ValueError("channel matrix shape does not match alphabets")
         if np.any(matrix < -1e-15) or np.any(matrix > 1 + 1e-12):
@@ -220,7 +255,6 @@ class DiscreteChannel(Report):
         rows = matrix.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-12):
             raise ValueError(f"channel rows must sum to 1, got {rows}")
-        matrix = matrix.copy()
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
@@ -268,8 +302,9 @@ class CommutesReport(Report):
 # ---------------------------------------------------------------------------
 
 def joint_distribution(spec: WiretapSpec) -> JointDistribution:
-    """Exact joint of (u, v) by enumerating all 2**n points."""
-    return JointDistribution(*_histogram(spec.g_table.values, spec.f_table.values))
+    """Exact joint of (u, v) over all 2**n points, from the spec's pairs."""
+    g, f, counts, _ = spec.pairs
+    return JointDistribution(*_histogram(g, f, counts))
 
 
 def classic_channel(joint: JointDistribution) -> DiscreteChannel:
@@ -316,45 +351,45 @@ def commutes(spec: WiretapSpec) -> CommutesReport:
     Otherwise the witness is the first point of the smallest and of the
     largest g-value at the smallest f-value that meets two g-values.
     The success probability is :func:`eve_success_probability` of the
-    joint, bit for bit, from the joint's nonzero cells alone: the largest
-    count at each f-value over 2**n (exact), summed over the same
-    |V|-long array, so memory stays O(2**n) at any alphabet size.
+    joint, bit for bit, from its nonzero cells alone: the largest count
+    at each f-value over 2**n (exact), summed over the same |V|-long
+    array, so no dense joint is built at any alphabet size.
     """
-    _, f_values, cells = _cells(spec.g_table.values, spec.f_table.values)
-    present, counts = np.unique(cells, return_counts=True)
+    g, f, counts, first = spec.pairs
+    _, f_values, cells = _cells(g, f)
+    present, inverse = np.unique(cells, return_inverse=True)
     f_labels = present % len(f_values)
-    best = np.zeros(len(f_values), dtype=counts.dtype)
-    np.maximum.at(best, f_labels, counts)
-    success = float((best / cells.size).sum())
+    best = np.zeros(len(f_values))
+    np.maximum.at(best, f_labels, np.bincount(inverse, counts))
+    success = float((best / counts.sum()).sum())
     clashing = np.bincount(f_labels) > 1
     if not clashing.any():
         return CommutesReport(True, None, success)
     at = present[f_labels == np.argmax(clashing)]  # g ascends: cells are (g, f)
     return CommutesReport(False, tuple(
-        index_to_point(int(np.argmax(cells == c)), spec.n) for c in (at[0], at[-1])),
+        index_to_point(int(first[cells == c].min()), spec.n) for c in (at[0], at[-1])),
         success)
 
 
-def _noise_model(kind, u, noise, poly, **fields) -> NoiseModel:
+def _noise_model(kind, u, noise, counts, poly, **fields) -> NoiseModel:
     """The ``kind`` model of ``noise`` against u = g(x), with ``fields``."""
-    u_values, noise_values, joint = _histogram(u, noise)
+    u_values, noise_values, joint = _histogram(u, noise, counts)
     return NoiseModel(kind, noise_values,
                       tuple(float(p) for p in joint.sum(axis=0)),
                       u_values, joint, poly, **fields)
 
 
 def additive_noise(spec: WiretapSpec) -> NoiseModel:
-    """Decompose v = u + N with N = f - g, distributions by enumeration.
+    """Decompose v = u + N with N = f - g, from the spec's pairs.
 
     Raises ``ValueError`` when a noise value is beyond float range."""
-    f_vals = spec.f_table.values
-    g_vals = spec.g_table.values
+    g, f, counts, _ = spec.pairs
     with np.errstate(over="ignore"):
-        noise = f_vals - g_vals
+        noise = f - g
     if not np.all(np.isfinite(noise)):
         raise ValueError("additive noise values f - g must be finite")
-    recon = float(np.max(np.abs(g_vals + noise - f_vals)))
-    return _noise_model("additive", g_vals, noise,
+    recon = float(np.max(np.abs(g + noise - f)))
+    return _noise_model("additive", g, noise, counts,
                         sub(spec.f_poly, spec.g_poly),
                         reconstruction_max_error=recon)
 
@@ -367,20 +402,19 @@ def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
     parameters are computed.  Then g * N = f holds exactly for ±1 floats,
     so ``reconstruction_max_error`` keeps its default of 0.0.
     """
-    tables = spec.f_table, spec.g_table  # the flags then read these
+    g, f, counts, _ = spec.pairs  # the flags then read these
     for name, boolean in zip("fg", spec.booleans):
         if not boolean:
             raise PreconditionError(f"multiplicative noise requires ±1-valued {name}")
-    f_sign, g_sign = (np.where(t.values >= 0, 1.0, -1.0) for t in tables)
+    f_sign, g_sign = (np.where(values >= 0, 1.0, -1.0) for values in (f, g))
     noise = f_sign * g_sign  # exactly ±1
 
     def flip_prob(observed: float) -> float | None:
-        mask = f_sign == observed  # uN = f is Eve's observation
-        if not mask.any():
-            return None
-        return float(np.mean(noise[mask] == -1.0))
+        seen = f_sign == observed  # uN = f is Eve's observation
+        flips = counts[seen & (noise == -1.0)].sum()
+        return float(flips / counts[seen].sum()) if seen.any() else None
 
-    return _noise_model("multiplicative", g_sign, noise,
+    return _noise_model("multiplicative", g_sign, noise, counts,
                         mul(spec.f_poly, spec.g_poly),
                         flip_one_to_minus=flip_prob(-1.0),
                         flip_minus_to_one=flip_prob(+1.0))

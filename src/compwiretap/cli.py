@@ -55,11 +55,8 @@ def _looks_like_table(text: str) -> bool:
 
 
 def _load_function(source: str, declared_n: int | None):
-    """Resolve a --f/--g source to (poly, table); table is None for expressions.
-
-    A table file keeps the table it was parsed into; a dense table for an
-    expression is built only by the answers that read one.
-    """
+    """Resolve a --f/--g source to (poly, table); table is None for an
+    expression."""
     if source.startswith("@"):
         with open(source[1:], "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -89,7 +86,7 @@ def _cmd_analyze(args):
     poly, table = _load_function(args.f, args.n)
     # before the other fields, so that values beyond float range fail
     # as the table's check fails on them
-    boolean = boolfn.is_boolean_function(poly, table)
+    boolean = boolfn.is_boolean_function(poly, getattr(table, "values", None))
     profile = boolfn.influence_profile(poly)
     terms = _Terms(poly)
     report = {
@@ -219,10 +216,9 @@ def _cmd_invariance(args):
     bounds_info = {"C": c4}
 
     if args.g is None:
-        f_poly, _ = _load_function(args.f, args.n)
-        target = f_poly
+        target, _ = _load_function(args.f, args.n)
         mode = "single"
-        eps = boolfn.max_influence(f_poly)
+        eps = boolfn.max_influence(target)
         try:
             bound = invariance.corollary_bound(target, c4, eps)
             bounds_info["kind"] = "low-influence"
@@ -400,10 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "wiretap-channel constructions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_f=True, need_g=False, optional_g=False):
-        if need_f:
-            p.add_argument("--f", required=True,
-                           help="polynomial expression or @file for f")
+    def common(p, need_g=False, optional_g=False):
+        p.add_argument("--f", required=True,
+                       help="polynomial expression or @file for f")
         if need_g:
             p.add_argument("--g", required=True,
                            help="polynomial expression or @file for g")
@@ -415,11 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "pretty"),
                        default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    def sampling(p):
-        p.add_argument("--samples", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--z", type=float, default=4.0)
 
     p = sub.add_parser("analyze", help="Fourier coefficients and influences")
     common(p)
@@ -440,7 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="test function name (default cos)")
     p.add_argument("--C", type=float, default=None,
                    help="override the catalog bound on sup|psi''''|")
-    sampling(p)
+    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--z", type=float, default=4.0)
     p.set_defaults(run=_cmd_invariance)
 
     p = sub.add_parser("lemmas", help="check the pairwise inequalities")

@@ -576,11 +576,6 @@ def _parse_rows(text: str) -> TruthTable:
     return TruthTable(n, values)
 
 
-def _parse_table_csv(text: str) -> TruthTable:
-    table = _parse_plain_rows(text)
-    return _parse_rows(text) if table is None else table
-
-
 def _parse_table_json(text: str) -> TruthTable:
     try:
         obj = json.loads(text)
@@ -612,4 +607,4 @@ def parse_table(text: str) -> TruthTable:
         raise ParseError("empty table file")
     if stripped.startswith("{"):
         return _parse_table_json(text)
-    return _parse_table_csv(text)
+    return _parse_plain_rows(text) or _parse_rows(text)

@@ -194,7 +194,8 @@ def hypothesis_check(dist: InputDistribution, samples: int = 100_000,
     """Check the moment hypothesis: E[x]=0, E[x^2]=1, E[x^3]=0, E[x^4]<=9.
 
     Each moment is tested with tolerance 5 standard errors; declared
-    exact moments are tested exactly (zero stderr).
+    exact moments are tested exactly (zero stderr).  A sample holding an
+    infinite value has no finite moments and is refused with ``ValueError``.
 
     The draw is made here; the four powers are independent tasks for
     the workers of :func:`boolfn._pool`, the costly k = 4 and 3 first.
@@ -211,6 +212,9 @@ def hypothesis_check(dist: InputDistribution, samples: int = 100_000,
         raise PreconditionError(f"need at least 10^4 samples, got {samples}")
     rng = np.random.default_rng(seed)
     x = np.asarray(dist.sampler(rng, samples), dtype=np.float64)
+    if np.isinf(x).any():
+        raise ValueError(f"the {dist.name} sample holds an infinite value: "
+                         f"{float(x[np.isinf(x)][0])!r}")
     products = _small_integers(x[:1]) and _small_integers(x)
 
     def power_moment(k):

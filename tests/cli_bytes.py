@@ -18,13 +18,16 @@ their table files into a temporary directory, and a third group,
   it with three 1M-cell matrices, a few seconds and a few hundred MB);
 * ``invariance`` on the n=24 chain against the n=24 sum (a tree that
   builds the pair's tables for its ±1 check peaks at about 600 MB);
-* ``analyze``, ``lemmas`` and ``invariance`` on a seed-drawn pair with
-  ±1 coefficients on x9..x24, the first term of f a negative constant
-  (``lemmas`` is the lightest answer that writes both texts of an n=24
-  pair, about 600 MB);
-* ``lemmas`` and ``invariance`` on a seed-drawn pair of ±1 monomials at
-  n = 24 (a tree that builds the pair's tables for the ±1 flags peaks
-  at about 600 MB);
+* ``analyze``, ``lemmas``, ``invariance``, ``commute`` and ``channel``
+  on a seed-drawn pair with ±1 coefficients on x9..x24, the first term
+  of f a negative constant (``lemmas`` is the lightest answer that
+  writes both texts of an n=24 pair, about 600 MB; a tree that walks
+  the pair's two dense tables for ``commute`` or ``channel`` peaks above
+  1 GB);
+* ``lemmas``, ``invariance``, ``commute`` and ``channel`` on a
+  seed-drawn pair of ±1 monomials at n = 24 (a tree that builds the
+  pair's tables for the ±1 flags peaks at about 600 MB, and one that
+  walks them for ``channel`` at about 1.5 GB);
 * ``analyze`` and ``commute`` on a pair of dense n=14 tables of
   3-decimal values, with many distinct magnitudes;
 * ``analyze`` and ``channel`` on a pair of quarter-valued n=14 CSV
@@ -153,11 +156,13 @@ def extra(seed: int, directory: str) -> list:
 
     f, g = pm1_terms("-1"), pm1_terms("x17*x24")
     argvs += [["analyze", "--f", f], ["lemmas", "--f", f, "--g", g],
-              ["invariance", "--f", f, "--g", g, "--samples", "10000"]]
+              ["invariance", "--f", f, "--g", g, "--samples", "10000"],
+              ["commute", "--f", f, "--g", g], ["channel", "--f", f, "--g", g]]
     a, b, c = rng.choice(23, 3, replace=False) + 1
     f, g = f"x{a}*x24", f"-x{b}*x{c}"
     argvs += [["lemmas", "--f", f, "--g", g],
-              ["invariance", "--f", f, "--g", g, "--samples", "10000"]]
+              ["invariance", "--f", f, "--g", g, "--samples", "10000"],
+              ["commute", "--f", f, "--g", g], ["channel", "--f", f, "--g", g]]
     f_arg, g_arg = (workloads._write_table(
         os.path.join(directory, f"decimal14_{side}.csv"), values, "csv")
         for side, values in zip("fg", np.round(rng.standard_normal((2, 1 << 14)), 3)))

@@ -15,8 +15,8 @@ from numbers import Rational, Real
 import numpy as np
 
 from compwiretap import MultilinearPolynomial, ParseError, TruthTable
-from compwiretap import boolfn, funcdsl
-from compwiretap.boolfn import point_to_index
+from compwiretap import boolfn, channels, funcdsl
+from compwiretap.boolfn import BOOLEAN_TOL, PreconditionError, point_to_index
 
 
 #: ``((1+x1)*...*(1+x10))*((1+x11)*...*(1+x20))``: an exact product of
@@ -286,6 +286,103 @@ def reference_values(poly: MultilinearPolynomial) -> np.ndarray:
     for mask, value in poly.coeffs.items():
         a[mask] = float(value)
     return reference_butterfly(a)
+
+
+# ---------------------------------------------------------------------------
+# Dense-table channel readers: each walks both 2**n-point tables, as the
+# package did before it read the distinct value pairs
+# ---------------------------------------------------------------------------
+
+def spec_values(spec) -> tuple:
+    """f's and g's values on all 2**n points: a loaded table's own, else
+    the polynomial's by the plain level loop."""
+    return tuple(spec.tables[name].values if name in spec.tables
+                 else reference_values(getattr(spec, f"{name}_poly"))
+                 for name in "fg")
+
+
+def _dense_cells(rows: np.ndarray, cols: np.ndarray):
+    """Both merged alphabets and each point's row-major (row, col) cell."""
+    row_values, row_labels = channels._merge_values(rows)
+    col_values, col_labels = channels._merge_values(cols)
+    return row_values, col_values, row_labels * len(col_values) + col_labels
+
+
+def _dense_histogram(rows: np.ndarray, cols: np.ndarray):
+    """Merged alphabets and joint of two value arrays on the uniform
+    points: each count over the 2**n points, exact up to 2**53."""
+    row_values, col_values, cells = _dense_cells(rows, cols)
+    shape = (len(row_values), len(col_values))
+    if shape[0] * shape[1] > channels._MAX_CELLS:
+        raise ValueError(
+            f"a dense joint of {shape[0]} by {shape[1]} merged values needs "
+            f"{shape[0] * shape[1]} cells, more than the cap of {channels._MAX_CELLS}")
+    counts = np.bincount(cells, minlength=shape[0] * shape[1])
+    return row_values, col_values, counts.reshape(shape) / rows.size
+
+
+def reference_joint_distribution(spec) -> channels.JointDistribution:
+    f_vals, g_vals = spec_values(spec)
+    return channels.JointDistribution(*_dense_histogram(g_vals, f_vals))
+
+
+def reference_commutes(spec) -> channels.CommutesReport:
+    """The flag, the witness (the first point of the smallest and of the
+    largest g-value at the first clashing f-value) and the success
+    probability, from each point's cell."""
+    f_vals, g_vals = spec_values(spec)
+    _, f_values, cells = _dense_cells(g_vals, f_vals)
+    present, counts = np.unique(cells, return_counts=True)
+    f_labels = present % len(f_values)
+    best = np.zeros(len(f_values), dtype=counts.dtype)
+    np.maximum.at(best, f_labels, counts)
+    success = float((best / cells.size).sum())
+    clashing = np.bincount(f_labels) > 1
+    if not clashing.any():
+        return channels.CommutesReport(True, None, success)
+    at = present[f_labels == np.argmax(clashing)]
+    return channels.CommutesReport(False, tuple(
+        boolfn.index_to_point(int(np.argmax(cells == c)), spec.n)
+        for c in (at[0], at[-1])), success)
+
+
+def _dense_noise_model(kind, u, noise, poly, **fields) -> channels.NoiseModel:
+    u_values, noise_values, joint = _dense_histogram(u, noise)
+    return channels.NoiseModel(kind, noise_values,
+                               tuple(float(p) for p in joint.sum(axis=0)),
+                               u_values, joint, poly, **fields)
+
+
+def reference_additive_noise(spec) -> channels.NoiseModel:
+    f_vals, g_vals = spec_values(spec)
+    with np.errstate(over="ignore"):
+        noise = f_vals - g_vals
+    if not np.all(np.isfinite(noise)):
+        raise ValueError("additive noise values f - g must be finite")
+    recon = float(np.max(np.abs(g_vals + noise - f_vals)))
+    return _dense_noise_model("additive", g_vals, noise,
+                              boolfn.sub(spec.f_poly, spec.g_poly),
+                              reconstruction_max_error=recon)
+
+
+def reference_multiplicative_noise(spec) -> channels.NoiseModel:
+    tables = spec_values(spec)
+    for name, values in zip("fg", tables):
+        if not np.all(np.abs(np.abs(values) - 1.0) <= BOOLEAN_TOL):
+            raise PreconditionError(f"multiplicative noise requires ±1-valued {name}")
+    f_sign, g_sign = (np.where(values >= 0, 1.0, -1.0) for values in tables)
+    noise = f_sign * g_sign
+
+    def flip_prob(observed: float) -> float | None:
+        mask = f_sign == observed
+        if not mask.any():
+            return None
+        return float(np.mean(noise[mask] == -1.0))
+
+    return _dense_noise_model("multiplicative", g_sign, noise,
+                              boolfn.mul(spec.f_poly, spec.g_poly),
+                              flip_one_to_minus=flip_prob(-1.0),
+                              flip_minus_to_one=flip_prob(+1.0))
 
 
 def reference_power_moments(dist, samples: int, seed: int) -> tuple:

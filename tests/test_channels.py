@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compwiretap import (
@@ -15,12 +15,14 @@ from compwiretap import (
     classic_channel,
     commutes,
     eve_success_probability,
+    index_to_point,
     joint_distribution,
     map_estimator,
     multiplicative_noise,
     parse_poly,
     posterior_channel,
 )
+from compwiretap import boolfn
 from compwiretap.boolfn import BOOLEAN_TOL
 from compwiretap.channels import VALUE_MERGE_TOL, _merge_values
 from helpers import (
@@ -32,7 +34,12 @@ from helpers import (
     eval_poly_at,
     maj3_poly,
     random_boolean_table,
+    reference_additive_noise,
+    reference_commutes,
+    reference_joint_distribution,
     reference_map_estimator,
+    reference_multiplicative_noise,
+    spec_values,
     zchannel_f_poly,
     zchannel_g_poly,
 )
@@ -61,7 +68,7 @@ def test_joint_zchannel_example():
     assert u_marg[-1.0] == 3 / 8
     # cross-check the full joint against plain enumeration
     spec = zchannel_spec()
-    oracle = brute_joint(list(spec.f_table.values), list(spec.g_table.values))
+    oracle = brute_joint(*(list(values) for values in spec_values(spec)))
     for (u, v), p in oracle.items():
         i = joint.u_values.index(u)
         j = joint.v_values.index(v)
@@ -415,7 +422,7 @@ def test_spec_lifts_to_common_n():
     assert spec.n == 2
 
 
-def test_spec_flags_read_the_tables_it_holds_else_the_polynomials():
+def test_spec_flags_read_the_tables_it_holds_else_the_polynomials(monkeypatch):
     # a held table decides its function's flag even where its polynomial
     # would not (a loaded table and its transform can differ); a table
     # given for a function that is lifted is dropped
@@ -426,9 +433,12 @@ def test_spec_flags_read_the_tables_it_holds_else_the_polynomials():
     assert spec.tables == {"f": half}  # g's flag built no table
     lifted = WiretapSpec.from_polys(x1, x2, half)
     assert lifted.booleans == (True, True) and lifted.tables == {}
-    # a table built before the first flag is read decides it too
+    # value pairs built before the first flag is read decide it, with no
+    # strip pass of either polynomial and no table
     built = WiretapSpec.from_polys(parse_poly("1/2*x1"), x1)
-    assert built.f_table is built.f_table and list(built.tables) == ["f"]
+    assert [list(v) for v in spec_values(built)] == [[0.5, -0.5], [1.0, -1.0]]
+    assert built.pairs is built.pairs and built.tables == {}
+    monkeypatch.setattr(boolfn, "_value_strips", None)
     assert built.booleans == (False, True)
 
 
@@ -562,3 +572,107 @@ def test_commutes_reports_g_chain_before_f_chain():
     for check in (joint_distribution, commutes):
         with pytest.raises(ValueError, match=r"values from 5\.0 to "):
             check(spec)
+
+
+# ---------------------------------------------------------------------------
+# The distinct-pair readers against the dense-table readers, bit for bit
+# ---------------------------------------------------------------------------
+
+READERS = [(joint_distribution, reference_joint_distribution),
+           (commutes, reference_commutes),
+           (additive_noise, reference_additive_noise),
+           (multiplicative_noise, reference_multiplicative_noise)]
+
+
+def _bits(reader, spec) -> str:
+    """Every field of the reader's answer, arrays as bytes and floats by
+    repr, or the type and message of its refusal."""
+    try:
+        report = reader(spec)
+    except ValueError as exc:  # PreconditionError too
+        return repr((type(exc), str(exc)))
+    return repr([value.tobytes() if isinstance(value, np.ndarray)
+                 else value.coeffs if isinstance(value, MultilinearPolynomial)
+                 else value for value in vars(report).values()])
+
+
+def assert_readers_match_the_dense_tables(spec):
+    for reader, reference in READERS:
+        assert _bits(reader, spec) == _bits(reference, spec), reader.__name__
+    assert spec.booleans == tuple(
+        bool(np.all(np.abs(np.abs(values) - 1.0) <= BOOLEAN_TOL))
+        for values in spec_values(spec))
+
+
+#: Values that repeat across points: both signed zeros and float dust
+#: within the tolerance, which merge into one symbol each, values near
+#: ±1, and a run of three values that chains.
+_REPEATED = [-1.0, -1.0 + 4e-10, -0.0, 0.0, 4e-10, 0.25, 1.0, 1.0 + 4e-10, 2.0,
+             0.5 + 0.9e-9, 0.5 + 1.8e-9]
+
+
+@st.composite
+def _repeated_tables(draw):
+    """A pair of tables at n <= 10 over a few of the values above."""
+    n = draw(st.integers(1, 10))
+    pools = [draw(st.lists(st.sampled_from(_REPEATED), min_size=1, max_size=4))
+             for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f, g = (rng.choice(pool, 1 << n) for pool in pools)
+    return spec_from_tables(f, g, n)
+
+
+@given(_repeated_tables())
+def test_pair_readers_match_the_dense_tables(spec):
+    assert_readers_match_the_dense_tables(spec)
+
+
+@st.composite
+def _pairs_at_17(draw):
+    """f and g at n = 17, two rows of 2**16 points and so two strips per
+    row; each either an expression on high variables or a loaded table
+    that is 0 but at a few points."""
+    n = 17
+    expressions = ["x17", "x1*x17", "x16 - x17", "1/2*x15*x16 + x17", "x1*x2*x16"]
+    built = []
+    for _ in "fg":
+        if draw(st.booleans()):
+            built.append((parse_poly(draw(st.sampled_from(expressions)), n), None))
+        else:
+            values = np.zeros(1 << n)
+            points = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+            values[points] = draw(st.sampled_from([1.0, -1.0, 2.5]))
+            table = TruthTable(n, values)
+            built.append((boolfn.wht(table), table))
+    (f, f_table), (g, g_table) = built
+    return WiretapSpec.from_polys(f, g, f_table, g_table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_pairs_at_17())
+def test_pair_readers_match_the_dense_tables_at_n17(spec):
+    assert_readers_match_the_dense_tables(spec)
+
+
+def test_commutes_witness_in_a_later_strip_of_a_mixed_pair():
+    # f = x17 is -1 on row 1 (points 2**16 on); g is 0 but at one point of
+    # row 1 in the second strip (columns 2**15 on), so the witness's
+    # second point is that one, not the first point of either strip
+    n, late = 17, (1 << 16) + (1 << 15) + 5
+    values = np.zeros(1 << n)
+    values[late] = 1.0
+    table = TruthTable(n, values)
+    spec = WiretapSpec.from_polys(parse_poly("x17", n), boolfn.wht(table), g_table=table)
+    report = commutes(spec)
+    assert report.witness == (index_to_point(1 << 16, n), index_to_point(late, n))
+    assert_readers_match_the_dense_tables(spec)
+
+
+def test_signed_zeros_merge_into_one_symbol():
+    # -0.0 and +0.0 are one distinct value and one symbol with 4e-10
+    f = [-0.0, 0.0, 4e-10, 1.0, 0.0, -0.0, 1.0, 4e-10]
+    g = [0.0, -0.0, -0.0, 0.0, 1.0, 1.0, -0.0, 0.0]
+    spec = spec_from_tables(f, g, 3)
+    assert joint_distribution(spec).v_values == (2e-10, 1.0)
+    assert joint_distribution(spec).u_values == (0.0, 1.0)
+    assert_readers_match_the_dense_tables(spec)

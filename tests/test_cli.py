@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from compwiretap import boolfn, channels, cli, funcdsl, invariance
 from compwiretap.cli import main
-from helpers import PRODUCT_20, reference_looks_like_table
+from helpers import PRODUCT_20, eval_poly_at, reference_looks_like_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -248,7 +248,7 @@ def _count_calls(monkeypatch, name, modules):
 def test_invariance_single_reads_the_values_in_one_strip_pass(monkeypatch, capsys):
     # the exact side reads the values as strips, one pass, and builds no
     # table; the parent built one
-    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn])
     passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
     code, _ = run_json(capsys, [
         "invariance", "--f", MAJ3, "--samples", "2000"])
@@ -273,7 +273,7 @@ def test_invariance_multiplicative_builds_product_once(monkeypatch, capsys):
     # table is built; one product serves both the noise and the
     # degree-of-product variant
     products = _count_calls(monkeypatch, "mul", [boolfn, channels, invariance])
-    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn])
     code, report = run_json(capsys, [
         "invariance", "--f", MAJ3, "--g", "x4*x5*x6", "--psi", "sin",
         "--samples", "2000"])
@@ -283,15 +283,24 @@ def test_invariance_multiplicative_builds_product_once(monkeypatch, capsys):
 
 
 def test_channel_computes_each_function_once(monkeypatch, capsys):
-    # the joint builds both tables, and the ±1 flags of the
-    # multiplicative noise then read them: no strip pass
-    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
-    passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
+    # one strip pass over both functions gives the distinct value pairs
+    # that the joint, both noise models and the ±1 flags then read; the
+    # parent built both tables
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn])
+    passes = []
+    original = boolfn._value_strips
+
+    def counted(poly, emit, imag=None):
+        passes.append((poly, imag))
+        return original(poly, emit, imag)
+
+    for module in (boolfn, channels, invariance):
+        monkeypatch.setattr(module, "_value_strips", counted)
     code, report = run_json(capsys, ["channel", "--f", ZCHAN_F, "--g", ZCHAN_G])
     assert code == 0 and report["multiplicative"]["kind"] == "multiplicative"
     f, g = funcdsl.parse_poly(ZCHAN_F), funcdsl.parse_poly(ZCHAN_G)
-    assert len(tables) == 2 and f in tables and g in tables
-    assert passes == []
+    assert tables == []
+    assert passes == [(f, g)]
 
 
 def test_channel_builds_one_joint(monkeypatch, capsys):
@@ -304,7 +313,7 @@ def test_channel_builds_one_joint(monkeypatch, capsys):
 def test_lemmas_on_expressions_builds_no_table(monkeypatch, capsys):
     # the ±1 precondition is the only value lemmas reads: one strip pass
     # per function and no table; the parent built both tables
-    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn])
     passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
     code, report = run_json(capsys, ["lemmas", "--f", ZCHAN_F, "--g", ZCHAN_G])
     assert code == 0 and report["checks"][2]["applicable"]
@@ -637,11 +646,15 @@ SPARSE24_G = "x17*x24 + x24 + x12*x15 + x20*x23 - x14*x19 - x20 - x14"
     (["lemmas", "--f", SPARSE24_F, "--g", SPARSE24_G], False),
     (["lemmas", "--f", "x1*x24", "--g", "x2*x23"], True),
     (["invariance", "--f", "x1*x24", "--g", "x2*x23", "--samples", "10000"], True),
+    *(([command, "--f", f, "--g", g], pm1) for command in ("commute", "channel")
+      for f, g, pm1 in [(SPARSE24_F, SPARSE24_G, False), ("x1*x24", "x2*x23", True)]),
 ])
 def test_pair_answer_at_max_n_holds_no_dense_table(capsys, argv, applicable):
-    # these answers read no table value but the ±1 flags (and the exact
-    # side of the product, by strips); building the pair's two 128 MiB
-    # tables for the flags peaked at 512 MiB
+    # lemmas and invariance read no table value but the ±1 flags (and the
+    # exact side of the product, by strips); building the pair's two
+    # 128 MiB tables for the flags peaked at 512 MiB.  commute and channel
+    # read the distinct value pairs of one strip pass, where the pair's
+    # two tables and the walks over them peaked above 1 GB
     tracemalloc.start()
     try:
         code = main(argv)
@@ -653,9 +666,16 @@ def test_pair_answer_at_max_n_holds_no_dense_table(capsys, argv, applicable):
     assert report["n"] == 24
     if argv[0] == "lemmas":
         assert report["checks"][2]["applicable"] is applicable
-    else:
+    elif argv[0] == "invariance":
         assert report["mode"] == "multiplicative"
-    assert peak < 16 << 20
+    elif argv[0] == "channel":
+        assert ("kind" in report["multiplicative"]) is applicable
+    else:  # a witness: one f-value, two g-values
+        f, g = (funcdsl.parse_poly(argv[i], 24).coeffs for i in (2, 4))
+        x0, x1 = report["witness"]
+        assert eval_poly_at(f, x0) == eval_poly_at(f, x1)
+        assert eval_poly_at(g, x0) != eval_poly_at(g, x1)
+    assert peak < (16 << 20 if argv[0] in ("lemmas", "invariance") else 128 << 20)
 
 
 @pytest.mark.parametrize("f, g, mode", [
@@ -677,7 +697,7 @@ def test_invariance_pm1_pair_above_n16_reads_each_function_once(
     # the product's: one strip pass per function and no table.  The
     # parent read f's flag from its polynomial and built both tables
     flags = _count_calls(monkeypatch, "is_boolean_valued_poly", [boolfn])
-    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn, channels])
+    tables = _count_calls(monkeypatch, "inverse_wht", [boolfn])
     passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
     code, report = run_json(capsys, [
         "invariance", "--f", "x1*x17", "--g", "x2*x17", "--samples", "2000"])

@@ -169,6 +169,12 @@ _EDGE_DISTRIBUTIONS = [
 @pytest.mark.parametrize("samples", [10_000, 12_347, 99_999, 100_000])
 def test_moments_equal_the_pow_reference(dist, samples):
     for seed in (0, 18):
+        if dist.name == "inf_tail":
+            # refused before numpy warns on the subtraction of inf
+            with pytest.raises(ValueError, match=(
+                    r"^the inf_tail sample holds an infinite value: -inf$")):
+                hypothesis_check(dist, samples, seed=seed)
+            continue
         report = hypothesis_check(dist, samples, seed=seed)
         # repr tells every float apart by its bits
         assert repr((report.empirical_moments, report.empirical_stderrs)) \
