@@ -28,7 +28,7 @@ from .boolfn import (
     influence_profile,
     influence_spectral,
     inverse_wht,
-    is_boolean_valued,
+    is_boolean_function,
     max_influence,
     mean,
     mul,

@@ -574,16 +574,17 @@ def _near_pm1(values: np.ndarray) -> bool:
     return bool(np.all(np.abs(np.abs(values) - 1.0) <= BOOLEAN_TOL))
 
 
-def is_boolean_valued(table: TruthTable) -> bool:
-    """True iff every value is within BOOLEAN_TOL of +1 or -1."""
-    return _near_pm1(table.values)
-
-
-def is_boolean_valued_poly(poly: MultilinearPolynomial) -> bool:
-    """``is_boolean_valued(inverse_wht(poly))``, failing as it does on a
-    value that is not finite.  It reads each value strip of
-    :func:`_value_strips` as it comes, on the butterfly's worker threads,
-    and never holds the dense table."""
+def is_boolean_function(poly: MultilinearPolynomial,
+                        values: np.ndarray | None = None) -> bool:
+    """Whether every value is within BOOLEAN_TOL of +1 or -1: read from
+    ``values`` (each value it takes, as a loaded table's) when given, else
+    from each value strip of ``poly`` as :func:`_value_strips` gives it,
+    on the butterfly's worker threads, failing as the dense table does on
+    a value that is not finite.  A table loaded from a file decides for
+    itself: the transform prunes coefficients at or below
+    :data:`PRUNE_TOL`, so its polynomial's values can differ from it."""
+    if values is not None:
+        return _near_pm1(values)
     flags = []
 
     def check(c, strip):
@@ -594,16 +595,6 @@ def is_boolean_valued_poly(poly: MultilinearPolynomial) -> bool:
 
     _value_strips(poly, check)
     return all(flags)
-
-
-def is_boolean_function(poly: MultilinearPolynomial,
-                        values: np.ndarray | None = None) -> bool:
-    """Whether the function is ±1-valued: read from ``values`` (each
-    value it takes, as a loaded table's) when given, else from the values
-    of ``poly``.  A table loaded from a file decides for itself: the
-    transform prunes coefficients at or below :data:`PRUNE_TOL`, so its
-    polynomial's values can differ from it."""
-    return _near_pm1(values) if values is not None else is_boolean_valued_poly(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,13 @@ class WiretapSpec:
         return tuple(is_boolean_function(getattr(self, f"{name}_poly"),
                                          values.get(name)) for name in "fg")
 
+    @property
+    def not_pm1(self) -> str | None:
+        """The first function of the pair, ``"f"`` or ``"g"``, that
+        :attr:`booleans` finds not ±1-valued, or None."""
+        f_bool, g_bool = self.booleans
+        return None if f_bool and g_bool else "g" if f_bool else "f"
+
     @classmethod
     def from_polys(cls, f: MultilinearPolynomial, g: MultilinearPolynomial,
                    f_table: TruthTable | None = None,
@@ -403,9 +410,8 @@ def multiplicative_noise(spec: WiretapSpec) -> NoiseModel:
     so ``reconstruction_max_error`` keeps its default of 0.0.
     """
     g, f, counts, _ = spec.pairs  # the flags then read these
-    for name, boolean in zip("fg", spec.booleans):
-        if not boolean:
-            raise PreconditionError(f"multiplicative noise requires ±1-valued {name}")
+    if name := spec.not_pm1:
+        raise PreconditionError(f"multiplicative noise requires ±1-valued {name}")
     f_sign, g_sign = (np.where(values >= 0, 1.0, -1.0) for values in (f, g))
     noise = f_sign * g_sign  # exactly ±1
 

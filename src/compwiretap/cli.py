@@ -229,7 +229,7 @@ def _cmd_invariance(args):
     else:
         spec = _load_pair(args)
         f_poly, g_poly = spec.f_poly, spec.g_poly
-        if not all(spec.booleans):
+        if spec.not_pm1:
             mode = "additive"
             target = boolfn.sub(f_poly, g_poly)
             bound = invariance.additive_bound(f_poly, g_poly, c4)

@@ -54,7 +54,9 @@ from .channels import Report, WiretapSpec
 #: Slack used when checking the lemma inequalities numerically.
 LEMMA_SLACK = 1e-10
 
-_VAR_QUARTER_TOL = 1e-12
+#: Slack of the precondition checks on variances and influences; a float
+#: side adds it as the float 1e-12.
+_PRECONDITION_TOL = Fraction(1, 10 ** 12)
 
 
 def _frac(x) -> Fraction:
@@ -270,12 +272,12 @@ def corollary_bound(poly: MultilinearPolynomial, c4, eps) -> float:
     """(C/12) * k * 9**k * eps, requiring Var[F] <= 1 and all Inf_t <= eps."""
     _check_finite("C", c4)
     profile = influence_profile(poly)
-    if float(profile.variance) > 1.0 + 1e-12:
+    if float(profile.variance) > 1.0 + _PRECONDITION_TOL:
         raise PreconditionError(f"Var[F] = {float(profile.variance)} exceeds 1")
     eps_f = _frac(eps)
     for t, inf in enumerate(profile.influences, start=1):
         inf_t = _frac(inf)
-        if inf_t > eps_f + Fraction(1, 10 ** 12):
+        if inf_t > eps_f + _PRECONDITION_TOL:
             raise PreconditionError(
                 f"Inf_{t}[F] = {float(inf_t)} exceeds eps = {float(eps_f)}")
     k = degree(poly)
@@ -296,6 +298,16 @@ def pair_degree(f: MultilinearPolynomial, g: MultilinearPolynomial) -> int:
     return max(degree(f), 1) * max(degree(g), 1)
 
 
+def _var_over_quarter(f: MultilinearPolynomial, g: MultilinearPolynomial):
+    """``(name, Var)`` of the first of f and g whose variance exceeds 1/4,
+    else None; g's variance is not computed when f's exceeds."""
+    for name, poly in (("f", f), ("g", g)):
+        var = float(variance(poly))
+        if var > 0.25 + _PRECONDITION_TOL:
+            return name, var
+    return None
+
+
 def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
                    c4) -> float:
     """(C/3) * k * 9**k * eps for the noise N = f - g, with k = k1*k2.
@@ -305,10 +317,8 @@ def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
     (taken as at least 1).
     """
     _check_finite("C", c4)
-    for name, poly in (("f", f), ("g", g)):
-        var = float(variance(poly))
-        if var > 0.25 + _VAR_QUARTER_TOL:
-            raise PreconditionError(f"Var[{name}] = {var} exceeds 1/4")
+    if over := _var_over_quarter(f, g):
+        raise PreconditionError("Var[{}] = {} exceeds 1/4".format(*over))
     k = pair_degree(f, g)
     eps = pair_epsilon(f, g)
     return float(_frac(c4) * Fraction(k * 9 ** k, 3) * eps)
@@ -326,9 +336,8 @@ def multiplicative_bound(spec: WiretapSpec, c4, k: int | None = None) -> float:
     _check_finite("C", c4)
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
-    for name, boolean in zip("fg", spec.booleans):
-        if not boolean:
-            raise PreconditionError(f"{name} is not ±1-valued")
+    if name := spec.not_pm1:
+        raise PreconditionError(f"{name} is not ±1-valued")
     f, g = spec.f_poly, spec.g_poly
     if k is None:
         k = pair_degree(f, g)
@@ -667,6 +676,14 @@ class LemmaSuiteReport(Report):
             self, "passed", all(c.passed for c in self.checks if c.applicable))
 
 
+def _applicable(name: str, lhs: float, bound: float) -> LemmaCheck:
+    return LemmaCheck(name, True, None, lhs, bound, lhs <= bound + LEMMA_SLACK)
+
+
+def _not_applicable(name: str, reason: str) -> LemmaCheck:
+    return LemmaCheck(name, False, reason, None, None, None)
+
+
 def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:
     """Numerically check the three pairwise inequalities of ``spec``'s pair.
 
@@ -679,40 +696,16 @@ def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:
     raising; the ±1 precondition is read from the spec's flags.
     """
     f, g = spec.f_poly, spec.g_poly
-    f_bool, g_bool = spec.booleans
+    not_pm1 = spec.not_pm1  # the flags come first, as in every pair answer
     eps = float(pair_epsilon(f, g))
-    checks = []
-
     diff = sub(f, g)
-    var_f, var_g = float(variance(f)), float(variance(g))
-    if var_f > 0.25 + _VAR_QUARTER_TOL or var_g > 0.25 + _VAR_QUARTER_TOL:
-        offender = "f" if var_f > 0.25 + _VAR_QUARTER_TOL else "g"
-        checks.append(LemmaCheck(
-            "variance_difference", False,
-            f"Var[{offender}] exceeds 1/4", None, None, None))
-    else:
-        lhs = float(variance(diff))
-        checks.append(LemmaCheck(
-            "variance_difference", True, None, lhs, 1.0,
-            lhs <= 1.0 + LEMMA_SLACK))
-
+    over = _var_over_quarter(f, g)
     # rounding is monotone, so the float of the exact maximum is the
     # maximum of the floats
-    lhs = float(max_influence(diff))
-    checks.append(LemmaCheck(
-        "influence_difference", True, None, lhs, 4.0 * eps,
-        lhs <= 4.0 * eps + LEMMA_SLACK))
-
-    if not (f_bool and g_bool):
-        offender = "f" if not f_bool else "g"
-        checks.append(LemmaCheck(
-            "influence_product", False,
-            f"{offender} is not ±1-valued", None, None, None))
-    else:
-        lhs = float(max_influence(mul(f, g)))
-        bound = 4.0 * eps * term_count(f) * term_count(g)
-        checks.append(LemmaCheck(
-            "influence_product", True, None, lhs, bound,
-            lhs <= bound + LEMMA_SLACK))
-
-    return LemmaSuiteReport(tuple(checks))
+    return LemmaSuiteReport((
+        _not_applicable("variance_difference", f"Var[{over[0]}] exceeds 1/4")
+        if over else _applicable("variance_difference", float(variance(diff)), 1.0),
+        _applicable("influence_difference", float(max_influence(diff)), 4.0 * eps),
+        _not_applicable("influence_product", f"{not_pm1} is not ±1-valued")
+        if not_pm1 else _applicable("influence_product", float(max_influence(mul(f, g))),
+                                    4.0 * eps * term_count(f) * term_count(g))))

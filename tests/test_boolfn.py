@@ -17,7 +17,7 @@ from compwiretap import (
     influence_profile,
     influence_spectral,
     inverse_wht,
-    is_boolean_valued,
+    is_boolean_function,
     max_influence,
     mean,
     mul,
@@ -359,6 +359,9 @@ def test_influence_profile():
 
 
 def test_is_boolean_valued():
+    def is_boolean_valued(table):  # a table decides from its own values
+        return is_boolean_function(wht(table), table.values)
+
     assert is_boolean_valued(maj3_table())
     n = 3
     _, g = chain_pair_polys(n)
@@ -398,8 +401,8 @@ def test_is_boolean_valued():
 ])
 def test_is_boolean_valued_poly_reads_the_value_strips(text, n, expected):
     poly = parse_poly(text, n)
-    assert is_boolean_valued(inverse_wht(poly)) is expected
-    assert boolfn.is_boolean_valued_poly(poly) is expected
+    assert is_boolean_function(poly, inverse_wht(poly).values) is expected
+    assert is_boolean_function(poly) is expected
 
 
 @pytest.mark.parametrize("text, n, error, message", [
@@ -416,7 +419,7 @@ def test_is_boolean_valued_poly_fails_on_values_beyond_float_range(
     with pytest.raises(error) as table_error:
         inverse_wht(poly)
     with pytest.raises(error) as flag_error:
-        boolfn.is_boolean_valued_poly(poly)
+        is_boolean_function(poly)
     assert str(flag_error.value) == str(table_error.value)
     assert message is None or str(flag_error.value) == message
 

@@ -696,7 +696,7 @@ def test_invariance_pm1_pair_above_n16_reads_each_function_once(
     # both ±1 flags come from their polynomials and the exact side from
     # the product's: one strip pass per function and no table.  The
     # parent read f's flag from its polynomial and built both tables
-    flags = _count_calls(monkeypatch, "is_boolean_valued_poly", [boolfn])
+    flags = _count_calls(monkeypatch, "is_boolean_function", [boolfn, channels])
     tables = _count_calls(monkeypatch, "inverse_wht", [boolfn])
     passes = _count_calls(monkeypatch, "_value_strips", [boolfn, invariance])
     code, report = run_json(capsys, [
