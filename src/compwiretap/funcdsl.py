@@ -192,7 +192,10 @@ def parse_poly(text: str, declared_n: int | None = None) -> MultilinearPolynomia
     if not tokens:
         raise ParseError("empty expression", 0)
     parser = _Parser(tokens, len(text))
-    coeffs = parser.expr()
+    try:
+        coeffs = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
     if parser.i < len(tokens):
         kind, _, pos = parser.peek()
         raise ParseError(f"unexpected {kind!r}", pos)
@@ -597,7 +600,12 @@ def _parse_table_json(text: str) -> TruthTable:
     if not isinstance(values, list) or len(values) != (1 << n):
         raise ParseError(
             f"'values' must list all {1 << n} entries for n={n}")
-    return TruthTable(n, np.array(values, dtype=np.float64))
+    try:
+        return TruthTable(n, np.array(values, dtype=np.float64))
+    except TypeError:  # from a dict or list entry, looked for only now
+        index = next(i for i, v in enumerate(values) if isinstance(v, (dict, list)))
+        raise ParseError(f"'values' entry {index} is not a number, "
+                         f"got {values[index]!r}") from None
 
 
 def parse_table(text: str) -> TruthTable:

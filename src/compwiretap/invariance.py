@@ -54,8 +54,7 @@ from .channels import Report, WiretapSpec
 #: Slack used when checking the lemma inequalities numerically.
 LEMMA_SLACK = 1e-10
 
-#: Slack of the precondition checks on variances and influences; a float
-#: side adds it as the float 1e-12.
+#: Slack of every precondition check; a float side adds it as 1e-12.
 _PRECONDITION_TOL = Fraction(1, 10 ** 12)
 
 
@@ -305,7 +304,6 @@ def _var_over_quarter(f: MultilinearPolynomial, g: MultilinearPolynomial):
         var = float(variance(poly))
         if var > 0.25 + _PRECONDITION_TOL:
             return name, var
-    return None
 
 
 def additive_bound(f: MultilinearPolynomial, g: MultilinearPolynomial,
@@ -595,10 +593,12 @@ class InvarianceReport(Report):
 
 
 def _report(name: str, lhs: float, estimate: tuple, bound: float,
-            samples: int, seed: int, z: float) -> InvarianceReport:
+            samples: int, seed: int, z: float, n: int) -> InvarianceReport:
     """The report of one comparison; a side that is not finite, such as
     psi of values beyond float range, is refused with ``ValueError``, so
-    that no verdict rests on it."""
+    that no verdict rests on it.  ``passed`` allows for the rounding of
+    the two means, as of a constant F: an ulp of the larger per level of
+    their sums, n plus the bit length of ``samples``."""
     rhs, stderr = estimate
     for side, value in (("exact side E[psi(F(x))]", lhs),
                         ("Gaussian estimate of E[psi(F(g))]", rhs),
@@ -606,6 +606,7 @@ def _report(name: str, lhs: float, estimate: tuple, bound: float,
         if not math.isfinite(value):
             raise ValueError(f"the {side} is not finite: {value!r}")
     delta = abs(lhs - rhs)
+    rounding = (n + samples.bit_length()) * math.ulp(max(abs(lhs), abs(rhs)))
     return InvarianceReport(
         psi=name,
         lhs_exact=lhs,
@@ -616,7 +617,7 @@ def _report(name: str, lhs: float, estimate: tuple, bound: float,
         delta=delta,
         bound=float(bound),
         z=z,
-        passed=delta <= float(bound) + z * stderr,
+        passed=delta <= float(bound) + z * stderr + rounding,
     )
 
 
@@ -630,7 +631,7 @@ def verify_invariance(poly: MultilinearPolynomial, psi, bound: float,
     name = _resolve_psi(psi).name
     lhs = expect_exact(poly, psi)
     return _report(name, lhs, expect_gaussian_mc(poly, psi, samples, seed),
-                   bound, samples, seed, z)
+                   bound, samples, seed, z, poly.n)
 
 
 def verify_invariance_many(polys, psi, bounds, samples: int = 1_000_000,
@@ -648,7 +649,7 @@ def verify_invariance_many(polys, psi, bounds, samples: int = 1_000_000,
     name = _resolve_psi(psi).name
     lhs = [expect_exact(poly, psi) for poly in polys]
     estimates = _gaussian_mc(polys, psi, samples, seed)
-    return [_report(name, exact, estimate, bound, samples, seed, z)
+    return [_report(name, exact, estimate, bound, samples, seed, z, polys[0].n)
             for exact, estimate, bound in zip(lhs, estimates, bounds)]
 
 

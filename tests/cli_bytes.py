@@ -34,7 +34,14 @@ their table files into a temporary directory, and a third group,
   tables written with CRLF line breaks, with lone-CR line breaks, with
   ``i, v`` rows and with permuted rows;
 * ``analyze`` of an n=1 CSV table of ``+1``/``-1`` point rows, and of
-  one with a 4-digit exponent (exit code 1).
+  one with a 4-digit exponent (exit code 1);
+* ``invariance`` on five constant targets, whose exact side and
+  estimate differ by rounding alone, and on one real gap (exit code 3);
+* ``lemmas``, ``channel`` and ``invariance`` on a pair where only g has
+  Var > 1/4 and on one where only g is not ±1, so each reason and
+  refusal is compared;
+* ``analyze`` of a JSON table with an entry that is no number and of an
+  expression nested 330 parentheses deep (exit code 1 each).
 
 The ``extra`` group is answered a second time, as ``extra_1core``, by
 processes pinned to one core, so every pooled loop takes its one-worker
@@ -188,6 +195,24 @@ def extra(seed: int, directory: str) -> list:
         argvs += [["analyze", "--f", f_arg], ["channel", "--f", f_arg, "--g", g_arg]]
     argvs += [["analyze", "--f", write_csv("points1", ["+1,0.75", "-1,-0.25"])],
               ["analyze", "--f", write_csv("exponent1", ["0,1e0005", "1,2"])]]
+    argvs += [["invariance", *more] for more in (
+        ["--f", "1/3", "--psi", "identity", "--samples", "1000000"],
+        ["--f", "1/3", "--samples", "1000"],
+        ["--f", "0.7", "--psi", "sin", "--samples", "100000"],
+        ["--f", "-0.7", "--psi", "quartic", "--C", "0", "--samples", "300000"],
+        ["--f", "1", "--g", "-1", "--samples", "1000"],
+        ["--f", "x1*x2", "--psi", "quartic", "--C", "0", "--samples", "100000"])]
+    for f, g in (("1/4*x1 + 1/4*x2", "3/2*x2 - 1/2*x1*x3"),  # only Var[g] > 1/4
+                 ("x1*x2", "1/4*x1 + 1/4*x3")):  # only g is not ±1
+        argvs += [[command, "--f", f, "--g", g, *more] for command, more in
+                  (("lemmas", []), ("channel", []),
+                   ("invariance", ["--samples", "10000"]))]
+    for name, text in (("entry1.json", '{"n": 1, "values": [{"a": 1}, 1]}'),
+                       ("deep330.txt", "(" * 330 + "x1" + ")" * 330 + "\n")):
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        argvs.append(["analyze", "--f", "@" + path])
     return argvs
 
 

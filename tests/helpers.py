@@ -15,7 +15,7 @@ from numbers import Rational, Real
 import numpy as np
 
 from compwiretap import MultilinearPolynomial, ParseError, TruthTable
-from compwiretap import boolfn, channels, funcdsl
+from compwiretap import boolfn, channels, funcdsl, invariance
 from compwiretap.boolfn import BOOLEAN_TOL, PreconditionError, point_to_index
 
 
@@ -792,3 +792,97 @@ def exact_quartic_gap(poly) -> Fraction:
     """|E[F(x)**4] - E[F(g)**4]| between uniform ±1 x and Gaussian g."""
     return abs(exact_expectation(poly, "quartic", gaussian=False)
                - exact_expectation(poly, "quartic", gaussian=True))
+
+
+# ---------------------------------------------------------------------------
+# The conditions on f and g as each caller checked them before they had one
+# home each: the ±1 flags in a loop per caller, Var > 1/4 twice
+# ---------------------------------------------------------------------------
+
+def exact_poly(n: int, values) -> MultilinearPolynomial:
+    """The exact Fourier expansion of the function with ``values`` on the
+    points in index order: f^(S) = 2**-n sum_x f(x) prod_{j in S} x_j."""
+    points = list(all_points(n))
+    coeffs = {}
+    for mask in range(1 << n):
+        total = Fraction(0)
+        for point, value in zip(points, values):
+            sign = math.prod(x for j, x in enumerate(point) if mask >> j & 1)
+            total += sign * Fraction(value)
+        if total:
+            coeffs[mask] = total / (1 << n)
+    return MultilinearPolynomial(n, coeffs)
+
+
+def reference_booleans(spec) -> tuple:
+    """Each function's ±1 flag from its dense values."""
+    return tuple(bool(np.all(np.abs(np.abs(values) - 1.0) <= BOOLEAN_TOL))
+                 for values in spec_values(spec))
+
+
+def reference_additive_bound(f, g, c4) -> float:
+    invariance._check_finite("C", c4)
+    for name, poly in (("f", f), ("g", g)):
+        var = float(boolfn.variance(poly))
+        if var > 0.25 + 1e-12:
+            raise PreconditionError(f"Var[{name}] = {var} exceeds 1/4")
+    k = invariance.pair_degree(f, g)
+    eps = invariance.pair_epsilon(f, g)
+    return float(invariance._frac(c4) * Fraction(k * 9 ** k, 3) * eps)
+
+
+def reference_multiplicative_bound(spec, c4, k: int | None = None) -> float:
+    invariance._check_finite("C", c4)
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k!r}")
+    for name, boolean in zip("fg", spec.booleans):
+        if not boolean:
+            raise PreconditionError(f"{name} is not ±1-valued")
+    f, g = spec.f_poly, spec.g_poly
+    if k is None:
+        k = invariance.pair_degree(f, g)
+    l = boolfn.term_count(f) * boolfn.term_count(g)
+    eps = invariance.pair_epsilon(f, g)
+    return float(invariance._frac(c4) * Fraction(k * l * 9 ** k, 3) * eps)
+
+
+def reference_lemma_suite(spec) -> invariance.LemmaSuiteReport:
+    """The three pairwise inequalities, each check built on its own."""
+    LemmaCheck, LEMMA_SLACK = invariance.LemmaCheck, invariance.LEMMA_SLACK
+    variance, max_influence = boolfn.variance, boolfn.max_influence
+    f, g = spec.f_poly, spec.g_poly
+    f_bool, g_bool = spec.booleans
+    eps = float(invariance.pair_epsilon(f, g))
+    checks = []
+
+    diff = boolfn.sub(f, g)
+    var_f, var_g = float(variance(f)), float(variance(g))
+    if var_f > 0.25 + 1e-12 or var_g > 0.25 + 1e-12:
+        offender = "f" if var_f > 0.25 + 1e-12 else "g"
+        checks.append(LemmaCheck(
+            "variance_difference", False,
+            f"Var[{offender}] exceeds 1/4", None, None, None))
+    else:
+        lhs = float(variance(diff))
+        checks.append(LemmaCheck(
+            "variance_difference", True, None, lhs, 1.0,
+            lhs <= 1.0 + LEMMA_SLACK))
+
+    lhs = float(max_influence(diff))
+    checks.append(LemmaCheck(
+        "influence_difference", True, None, lhs, 4.0 * eps,
+        lhs <= 4.0 * eps + LEMMA_SLACK))
+
+    if not (f_bool and g_bool):
+        offender = "f" if not f_bool else "g"
+        checks.append(LemmaCheck(
+            "influence_product", False,
+            f"{offender} is not ±1-valued", None, None, None))
+    else:
+        lhs = float(max_influence(boolfn.mul(f, g)))
+        bound = 4.0 * eps * boolfn.term_count(f) * boolfn.term_count(g)
+        checks.append(LemmaCheck(
+            "influence_product", True, None, lhs, bound,
+            lhs <= bound + LEMMA_SLACK))
+
+    return invariance.LemmaSuiteReport(tuple(checks))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -601,6 +602,60 @@ def test_values_beyond_float_range_print_one_error_line(argv, err):
     done = subprocess.run([sys.executable, "-m", "compwiretap.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
+
+
+def _analyze_file_in_a_process(path: Path, text: str):
+    # the recursion limit counts the frames of pytest in process
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "compwiretap.cli", "analyze",
+                           "--f", f"@{path}"],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name, text, err", [
+    ("entry.json", '{"n": 1, "values": [{"a": 1}, 1]}',
+     r"error: 'values' entry 0 is not a number, got \{'a': 1\}\n"),
+    ("entry2.json", '{"n": 2, "values": [1, -1, {"a": 1}, 1]}',
+     r"error: 'values' entry 2 is not a number, got \{'a': 1\}\n"),
+    # 663 bytes; 200 and 300 levels answer
+    ("deep330.txt", "(" * 330 + "x1" + ")" * 330 + "\n",
+     r"error: expression nests too deeply \(at position \d+\)\n"),
+])
+def test_malformed_inputs_print_one_error_line(tmp_path, name, text, err):
+    # where a TypeError or a RecursionError ended in a traceback
+    done = _analyze_file_in_a_process(tmp_path / name, text)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert re.fullmatch(err, done.stderr), done.stderr
+
+
+@pytest.mark.parametrize("depth", [200, 300])
+def test_deeply_nested_expressions_still_answer(tmp_path, depth):
+    done = _analyze_file_in_a_process(
+        tmp_path / "deep.txt", "(" * depth + "x1" + ")" * depth + "\n")
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["expression"] == "x1"
+
+
+#: Requests whose exact side and estimate differ by rounding alone, which
+#: exited 3, and one real gap (delta 8.49, stderr 0.35), which still does.
+VERDICT_REQUESTS = [
+    (["--f", "1/3", "--psi", "identity", "--samples", "1000000"], 0),
+    (["--f", "1/3", "--samples", "1000"], 0),
+    (["--f", "0.7", "--psi", "sin", "--samples", "100000"], 0),
+    (["--f", "-0.7", "--psi", "quartic", "--C", "0", "--samples", "300000"], 0),
+    (["--f", "1", "--g", "-1", "--samples", "1000"], 0),
+    (["--f", "x1*x2", "--psi", "quartic", "--C", "0", "--samples", "100000"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", VERDICT_REQUESTS,
+                         ids=[" ".join(argv) for argv, _ in VERDICT_REQUESTS])
+def test_rounding_alone_does_not_flip_the_verdict(capsys, argv, code):
+    got, report = run_json(capsys, ["invariance", *argv])
+    assert (got, report["passed"]) == (code, code == 0)
+    if code == 0:  # a constant target: the two sides differ in last bits
+        assert 0 < report["delta"] < 1e-15 and report["bound"] == 0.0
 
 
 def test_analyze_n24_holds_no_dense_table(capsys):

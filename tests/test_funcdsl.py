@@ -534,6 +534,20 @@ def test_json_integer_over_the_digit_limit_is_a_parse_error(text, position):
     _assert_plain_digit_error(err)
 
 
+@pytest.mark.parametrize("values, index", [
+    ('[{"a": 1}, 1]', 0), ('[1, -1, 1, {}]', 3), ('[[{}], [1]]', 0),
+])
+def test_json_entry_that_is_no_number_is_a_parse_error(values, index):
+    n = 1 if values.count(",") == 1 else 2
+    with pytest.raises(ParseError, match=rf"^'values' entry {index} is not a number, got "):
+        parse_table(f'{{"n": {n}, "values": {values}}}')
+
+
+def test_expression_nested_too_deeply_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^expression nests too deeply \(at position \d+\)$"):
+        parse_poly("(" * 2000 + "x1" + ")" * 2000)
+
+
 #: A decimal of more than 4300 digits that rounds to 0.0, and others
 #: that round to ordinary doubles.
 _TINY = "0." + "0" * 5000 + "1"

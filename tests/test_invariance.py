@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compwiretap import (
@@ -28,6 +28,7 @@ from compwiretap import (
     max_influence,
     mul,
     multiplicative_bound,
+    multiplicative_noise,
     parse_poly,
     sub,
     variance,
@@ -41,13 +42,19 @@ from helpers import (
     PSI_POWERS,
     chain_pair_polys,
     exact_expectation,
+    exact_poly,
     exact_quartic_gap,
     maj3_poly,
     parent_counter_gaussians,
     parent_gaussian_chunk,
     random_boolean_table,
     random_rational_poly,
+    reference_additive_bound,
+    reference_booleans,
     reference_gaussian_chunk,
+    reference_lemma_suite,
+    reference_multiplicative_bound,
+    reference_multiplicative_noise,
     reference_power_moments,
     refuse_threads,
     use_workers,
@@ -913,3 +920,88 @@ def test_lemma_suite_random_pairs():
         byname = {c.name: c for c in report.checks}
         assert byname["influence_product"].applicable
         assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# The conditions on the pair: ±1 flags and Var <= 1/4
+# ---------------------------------------------------------------------------
+
+#: Values of the functions the pair property draws: ±1, within 1/2 of 0
+#: (so Var <= 1/4), and larger (Var mostly above 1/4).
+_PAIR_VALUES = {
+    "pm1": [-1, 1],
+    "small": [Fraction(-1, 2), Fraction(-1, 3), 0, Fraction(1, 4), Fraction(1, 2)],
+    "large": [-2, Fraction(-3, 2), -1, 1, Fraction(5, 2)],
+}
+
+
+@st.composite
+def _exact_pair(draw):
+    """Two exact polynomials at n <= 6, each ±1, small, large or a
+    constant; the spec lifts the one of smaller n."""
+    polys = []
+    for _ in "fg":
+        n = draw(st.integers(1, 6))
+        kind = draw(st.sampled_from([*_PAIR_VALUES, "constant"]))
+        if kind == "constant":
+            values = [draw(st.sampled_from([-2, -1, 0, Fraction(1, 3), 1]))] * (1 << n)
+        else:
+            values = draw(st.lists(st.sampled_from(_PAIR_VALUES[kind]),
+                                   min_size=1 << n, max_size=1 << n))
+        polys.append(exact_poly(n, values))
+    return tuple(polys)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of its refusal."""
+    try:
+        return call()
+    except (PreconditionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_pair())
+@example((parse_poly("2*x1"), parse_poly("1/4*x1 - 1/4*x2")))  # Var[f] > 1/4 only
+@example((parse_poly("1/2*x2"), parse_poly("3/2*x1")))  # Var[g] > 1/4 only
+@example((parse_poly("x1"), parse_poly("-x1*x2")))  # both, both ±1
+@example((parse_poly("x1*x2"), parse_poly("1/2*x1")))  # only g is not ±1
+@example((parse_poly("1/2*x1"), parse_poly("x2")))  # only f is not ±1
+@example((parse_poly("1"), parse_poly("-1")))  # ±1 constants
+@example((parse_poly("0"), parse_poly("1/3")))  # constants, neither ±1
+def test_conditions_on_the_pair_match_the_parent_checks(pair):
+    # each answer gets a fresh spec, whose flags are decided by its own
+    # first read, as in a CLI answer
+    def spec():
+        return WiretapSpec.from_polys(*pair)
+
+    assert lemma_suite(spec()).to_dict() == reference_lemma_suite(spec()).to_dict()
+    lifted = spec()
+    f, g = lifted.f_poly, lifted.g_poly
+    assert (_outcome(lambda: additive_bound(f, g, 1))
+            == _outcome(lambda: reference_additive_bound(f, g, 1)))
+    for k in (None, 1):
+        assert (_outcome(lambda: multiplicative_bound(spec(), 1, k))
+                == _outcome(lambda: reference_multiplicative_bound(spec(), 1, k)))
+    noise, reference = (_outcome(lambda: model(spec())) for model in
+                        (multiplicative_noise, reference_multiplicative_noise))
+    if isinstance(reference, tuple):
+        assert noise == reference
+    else:
+        assert noise.kind == reference.kind == "multiplicative"
+    assert spec().booleans == reference_booleans(spec())
+
+
+def test_lemma_suite_reads_no_variance_of_g_once_f_exceeds_a_quarter():
+    # Var[g] = 6 * (6e153)**2 is beyond float range: the parent computed
+    # it anyway and raised OverflowError; the first lemma is decided by f
+    f = parse_poly("2*x1").with_n(6)
+    g = parse_poly(" + ".join(f"6e153*x{i}" for i in range(1, 7)))
+    with pytest.raises(OverflowError):
+        reference_lemma_suite(WiretapSpec.from_polys(f, g))
+    with pytest.raises(PreconditionError, match=r"^Var\[f\] = 4\.0 exceeds 1/4$"):
+        additive_bound(f, g, 1)
+    checks = lemma_suite(WiretapSpec.from_polys(f, g)).to_dict()["checks"]
+    assert [(c["applicable"], c["reason"]) for c in checks] == [
+        (False, "Var[f] exceeds 1/4"), (True, None), (False, "f is not ±1-valued")]
+    assert checks[1]["passed"] and math.isfinite(checks[1]["bound"])
