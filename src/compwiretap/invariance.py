@@ -697,7 +697,7 @@ def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:
     raising; the ±1 precondition is read from the spec's flags.
     """
     f, g = spec.f_poly, spec.g_poly
-    not_pm1 = spec.not_pm1  # the flags come first, as in every pair answer
+    not_pm1 = spec.not_pm1  # first: a value beyond float range fails here
     eps = float(pair_epsilon(f, g))
     diff = sub(f, g)
     over = _var_over_quarter(f, g)
