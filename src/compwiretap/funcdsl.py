@@ -62,11 +62,13 @@ class ParseError(ValueError):
 _DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)"
 
 _TOKEN_RE = re.compile(rf"""
-    (?P<ws>\s+)
-  | (?P<frac>\d+/\d+)
-  | (?P<num>{_DECIMAL}(?:[eE][+-]?(?P<exp>\d+))?)
-  | (?P<var>x\d+)
-  | (?P<op>[+\-*()])
+    (?: (?P<ws>\s+)
+      | (?P<frac>(?P<numer>\d+)/(?P<denom>\d+))
+      | (?P<num>{_DECIMAL}(?:[eE][+-]?(?P<exp>\d+))?)
+      | (?P<var>x(?P<index>\d+))
+      | (?P<op>[+\-*()])
+      | (?P<bad>\S)
+    ) \s*  # a match runs on to where the next token starts
 """, re.VERBOSE)
 
 
@@ -75,40 +77,36 @@ def _too_many_digits(what: str) -> str:
     return f"{what} has more than {sys.get_int_max_str_digits()} digits"
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    try:
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            if m.lastgroup == "frac":
-                num, den = m.group().split("/")
-                if int(den) == 0:
+def _tokenize(text: str):
+    """Yield ``(kind, value, start, end)`` per token of ``text``, then an end token."""
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos, end = m.lastgroup, m.start(), m.end()
+        try:
+            if kind == "frac":
+                if int(m["denom"]) == 0:
                     raise ParseError("zero denominator in rational", pos)
-                tokens.append(("num", Fraction(int(num), int(den)), pos))
-            elif m.lastgroup == "num":
+                yield "num", Fraction(int(m["numer"]), int(m["denom"])), pos, end
+            elif kind == "num":
                 # a float's repr needs at most 3 exponent digits; a longer
                 # exponent would make the exact rational huge
-                if len(m.group("exp") or "") > 3:
+                if len(m["exp"] or "") > 3:
                     raise ParseError("decimal exponent has more than 3 digits", pos)
-                tokens.append(("num", Fraction(m.group()), pos))
-            elif m.lastgroup == "var":
-                digits = m.group()[1:]
-                if digits[0] == "0":
+                yield "num", Fraction(m[kind]), pos, end
+            elif kind == "var":
+                if m["index"][0] == "0":
                     raise ParseError(
-                        f"variable index must not start with 0: {m.group()!r}", pos)
-                tokens.append(("var", int(digits), pos))
-            elif m.lastgroup == "op":
-                tokens.append((m.group(), None, pos))
-            pos = m.end()
-    except ParseError:
-        raise
-    except ValueError:  # only int() of a digit string longer than it converts
-        what = "variable index" if m.lastgroup == "var" else "number"
-        raise ParseError(_too_many_digits(what), pos) from None
-    return tokens
+                        f"variable index must not start with 0: {m[kind]!r}", pos)
+                yield "var", int(m["index"]), pos, end
+            elif kind == "op":
+                yield m[kind], None, pos, end
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", pos)
+        except ParseError:
+            raise
+        except ValueError:  # only int() of a digit string longer than it converts
+            what = "variable index" if kind == "var" else "number"
+            raise ParseError(_too_many_digits(what), pos) from None
+    yield None, None, len(text), len(text)
 
 
 #: Most term pairs the products of one expression convolve in all: the
@@ -117,19 +115,20 @@ _MAX_PARSE_PAIRS = 1 << 20
 
 
 class _Parser:
-    def __init__(self, tokens, text_len):
-        self.tokens = tokens
-        self.i = 0
-        self.text_len = text_len
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.next = ("", None, 0, 0)  # the pending token, or kind "" before a pull
         self.max_var = 0
         self.pairs = 0  # exact term pairs convolved by every '*' so far
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.text_len)
+        if self.next[0] == "":
+            self.next = next(self.tokens)
+        return self.next
 
     def take(self):
         tok = self.peek()
-        self.i += 1
+        self.next = ("", None, tok[3], tok[3])  # where the next token starts
         return tok
 
     def expr(self) -> dict:
@@ -162,18 +161,16 @@ class _Parser:
         return _convolve(poly.items(), ((0, -1),)) if negate else poly
 
     def factor(self) -> dict:
-        kind, value, pos = self.take()
+        kind, value, pos, _ = self.take()
         if kind == "num":
             return {0: value} if value else {}
         if kind == "var":
-            if value < 1:
-                raise ParseError("variable index must be at least 1", pos)
             _check_n(value)  # before the shift builds a value-bit integer
             self.max_var = max(self.max_var, value)
             return {1 << (value - 1): Fraction(1)}
         if kind == "(":
             poly = self.expr()
-            kind, _, pos = self.take()
+            kind, _, pos, _ = self.take()
             if kind != ")":
                 raise ParseError("expected ')'", pos)
             return poly
@@ -188,17 +185,15 @@ def parse_poly(text: str, declared_n: int | None = None) -> MultilinearPolynomia
     ``n`` is ``declared_n`` when given (every variable index must fit),
     otherwise the largest variable index seen (1 for a constant).
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    parser = _Parser(text)
+    if parser.peek()[0] is None:
         raise ParseError("empty expression", 0)
-    parser = _Parser(tokens, len(text))
     try:
         coeffs = parser.expr()
-    except RecursionError:
-        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
-    if parser.i < len(tokens):
-        kind, _, pos = parser.peek()
-        raise ParseError(f"unexpected {kind!r}", pos)
+    except RecursionError:  # the next token's position, pulled or not
+        raise ParseError("expression nests too deeply", parser.next[2]) from None
+    if kind := parser.peek()[0]:
+        raise ParseError(f"unexpected {kind!r}", parser.next[2])
     if declared_n is not None:
         if declared_n < 1:
             raise ParseError(f"declared n must be positive, got {declared_n}")

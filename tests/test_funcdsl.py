@@ -310,7 +310,7 @@ def test_parse_serialize_roundtrip_property(poly):
 def _parsed(parser_class, text: str) -> tuple:
     """The terms one parser class gives ``text``, with their value types,
     and the term pairs its products counted."""
-    parser = parser_class(funcdsl._tokenize(text), len(text))
+    parser = parser_class(text)
     terms = [(mask, type(value), value) for mask, value in parser.expr().items()]
     return terms, parser.pairs
 
