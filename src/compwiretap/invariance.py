@@ -678,6 +678,12 @@ class LemmaSuiteReport(Report):
 
 
 def _applicable(name: str, lhs: float, bound: float) -> LemmaCheck:
+    """An applicable check; a side that is not finite, such as a bound
+    4 * eps beyond float range, is refused with ``ValueError``, as
+    ``_report`` refuses one, so that no verdict rests on it."""
+    for side, value in (("lhs", lhs), ("bound", bound)):
+        if not math.isfinite(value):
+            raise ValueError(f"the {side} of {name} is not finite: {value!r}")
     return LemmaCheck(name, True, None, lhs, bound, lhs <= bound + LEMMA_SLACK)
 
 
@@ -694,7 +700,8 @@ def lemma_suite(spec: WiretapSpec) -> LemmaSuiteReport:
 
     eps is the largest coordinate influence over both functions.
     Precondition failures mark a lemma as not applicable rather than
-    raising; the ±1 precondition is read from the spec's flags.
+    raising; the ±1 precondition is read from the spec's flags.  An
+    applicable check whose lhs or bound is not finite raises ValueError.
     """
     f, g = spec.f_poly, spec.g_poly
     not_pm1 = spec.not_pm1  # first: a value beyond float range fails here

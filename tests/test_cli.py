@@ -590,6 +590,10 @@ OVERFLOW_REQUESTS = [
           # psi runs on the butterfly's workers
           ("1e78*x17", "quartic", "1000", ["--C", "0"],
            "exact side E[psi(F(x))]", "inf")]),
+    # 4 * eps is beyond float range: lemmas refuses a bound that is not
+    # finite, where it printed Infinity in a passing answer and exited 0
+    (["lemmas", "--f", "x1", "--g", "1e154*x1"],
+     "error: the bound of influence_difference is not finite: inf\n"),
 ]
 
 

@@ -952,6 +952,23 @@ def _exact_pair(draw):
     return tuple(polys)
 
 
+def test_lemma_suite_refuses_a_bound_that_is_not_finite():
+    # eps is 1e308, so 4 * eps overflows; the answer used to pass on it
+    spec = WiretapSpec.from_polys(parse_poly("x1"), parse_poly("1e154*x1"))
+    with pytest.raises(ValueError, match=r"^the bound of influence_difference "
+                                         r"is not finite: inf$"):
+        lemma_suite(spec)
+
+
+@pytest.mark.parametrize("lhs, bound, side, value", [
+    (math.inf, 1.0, "lhs", "inf"), (math.nan, 1.0, "lhs", "nan"),
+    (0.5, math.inf, "bound", "inf"), (math.nan, math.nan, "lhs", "nan"),
+])
+def test_applicable_check_refuses_a_side_that_is_not_finite(lhs, bound, side, value):
+    with pytest.raises(ValueError, match=rf"^the {side} of check is not finite: {value}$"):
+        invariance._applicable("check", lhs, bound)
+
+
 def _outcome(call):
     """What ``call()`` returns, or the type and message of its refusal."""
     try:
