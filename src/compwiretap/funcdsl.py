@@ -595,12 +595,17 @@ def _parse_table_json(text: str) -> TruthTable:
     if not isinstance(values, list) or len(values) != (1 << n):
         raise ParseError(
             f"'values' must list all {1 << n} entries for n={n}")
-    try:
-        return TruthTable(n, np.array(values, dtype=np.float64))
-    except TypeError:  # from a dict or list entry, looked for only now
-        index = next(i for i, v in enumerate(values) if isinstance(v, (dict, list)))
-        raise ParseError(f"'values' entry {index} is not a number, "
-                         f"got {values[index]!r}") from None
+    # np.array reads a string or a bool as a number and None as NaN, so an
+    # entry that is no int or float is refused.  The entries are looked at
+    # one by one only if the text from the first '[' to the last ']', which
+    # holds the list, has a byte that a plain number row would not.
+    body = text[text.index("[") + 1:text.rindex("]")]
+    if body.encode().translate(None, _PLAIN_BYTES):
+        for index, value in enumerate(values):
+            if type(value) not in (int, float):
+                raise ParseError(
+                    f"'values' entry {index} is not a number, got {value!r}")
+    return TruthTable(n, np.array(values, dtype=np.float64))
 
 
 def parse_table(text: str) -> TruthTable:

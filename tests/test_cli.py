@@ -622,6 +622,11 @@ def _analyze_file_in_a_process(path: Path, text: str):
      r"error: 'values' entry 0 is not a number, got \{'a': 1\}\n"),
     ("entry2.json", '{"n": 2, "values": [1, -1, {"a": 1}, 1]}',
      r"error: 'values' entry 2 is not a number, got \{'a': 1\}\n"),
+    # a string or a bool was read as a number, and null as NaN
+    ("string.json", '{"n": 1, "values": ["0.5", true]}',
+     r"error: 'values' entry 0 is not a number, got '0\.5'\n"),
+    ("null.json", '{"n": 1, "values": [0.5, null]}',
+     r"error: 'values' entry 1 is not a number, got None\n"),
     # 663 bytes; 200 and 300 levels answer
     ("deep330.txt", "(" * 330 + "x1" + ")" * 330 + "\n",
      r"error: expression nests too deeply \(at position \d+\)\n"),

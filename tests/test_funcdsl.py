@@ -543,6 +543,32 @@ def test_json_entry_that_is_no_number_is_a_parse_error(values, index):
         parse_table(f'{{"n": {n}, "values": {values}}}')
 
 
+@pytest.mark.parametrize("values, index, got", [
+    ('["0.5", true]', 0, "'0.5'"), ('[1, true]', 1, "True"), ('[0.5, null]', 1, "None"),
+    ('[1, -1, 1, false]', 3, "False"), ('[0, 1, "x", 3]', 2, "'x'"),
+    ('[[1], [2]]', 0, r"\[1\]"),
+])
+def test_json_entry_that_is_a_string_bool_null_or_list_is_a_parse_error(values, index, got):
+    # np.array read a string or a bool as a number and null as NaN
+    n = (values.count(",") + 1).bit_length() - 1
+    with pytest.raises(ParseError, match=rf"^'values' entry {index} is not a number, "
+                                         rf"got {got}$"):
+        parse_table(f'{{"n": {n}, "values": {values}}}')
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('{"n": 2, "values": [1, -1, 0, 3]}', [1.0, -1.0, 0.0, 3.0]),
+    ('{"values": [1, 0.5], "n": 1}', [1.0, 0.5]),
+    ('{"n": 1, "values": [-0, 2e0]}', [0.0, 2.0]),
+    # other keys may hold anything: the entries are then looked at one by one
+    ('{"n": 1, "note": "true, null", "values": [1, -1]}', [1.0, -1.0]),
+])
+def test_json_entries_that_are_ints_or_floats_load(text, expected):
+    table = parse_table(text)
+    assert table.values.dtype == np.float64
+    assert table.values.tolist() == expected
+
+
 def test_expression_nested_too_deeply_is_a_parse_error():
     with pytest.raises(ParseError, match=r"^expression nests too deeply \(at position \d+\)$"):
         parse_poly("(" * 2000 + "x1" + ")" * 2000)
