@@ -186,6 +186,150 @@ class ReferenceParser(funcdsl._Parser):
         return boolfn._convolve(poly.items(), ((0, -1),)) if negate else poly
 
 
+#: The token pattern of ``reference_parse_poly``: whitespace is a token
+#: of its own, and a character no kind matches ends the match loop.
+_REFERENCE_TOKEN_RE = re.compile(rf"""
+    (?P<ws>\s+)
+  | (?P<frac>\d+/\d+)
+  | (?P<num>{funcdsl._DECIMAL}(?:[eE][+-]?(?P<exp>\d+))?)
+  | (?P<var>x\d+)
+  | (?P<op>[+\-*()])
+""", re.VERBOSE)
+
+
+def reference_tokenize(text: str) -> list:
+    """Every token of ``text`` in one list, or the first character error."""
+    tokens = []
+    pos = 0
+    try:
+        while pos < len(text):
+            m = _REFERENCE_TOKEN_RE.match(text, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            if m.lastgroup == "frac":
+                num, den = m.group().split("/")
+                if int(den) == 0:
+                    raise ParseError("zero denominator in rational", pos)
+                tokens.append(("num", Fraction(int(num), int(den)), pos))
+            elif m.lastgroup == "num":
+                # a float's repr needs at most 3 exponent digits; a longer
+                # exponent would make the exact rational huge
+                if len(m.group("exp") or "") > 3:
+                    raise ParseError("decimal exponent has more than 3 digits", pos)
+                tokens.append(("num", Fraction(m.group()), pos))
+            elif m.lastgroup == "var":
+                digits = m.group()[1:]
+                if digits[0] == "0":
+                    raise ParseError(
+                        f"variable index must not start with 0: {m.group()!r}", pos)
+                tokens.append(("var", int(digits), pos))
+            elif m.lastgroup == "op":
+                tokens.append((m.group(), None, pos))
+            pos = m.end()
+    except ParseError:
+        raise
+    except ValueError:  # only int() of a digit string longer than it converts
+        what = "variable index" if m.lastgroup == "var" else "number"
+        raise ParseError(funcdsl._too_many_digits(what), pos) from None
+    return tokens
+
+
+class _ReferenceListParser:
+    """The recursive-descent parser over a list of every token."""
+
+    def __init__(self, tokens, text_len):
+        self.tokens = tokens
+        self.i = 0
+        self.text_len = text_len
+        self.max_var = 0
+        self.pairs = 0  # exact term pairs convolved by every '*' so far
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.text_len)
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expr(self) -> dict:
+        poly = self.term()  # a fresh dict: the sum accumulates into it
+        while self.peek()[0] in ("+", "-"):
+            sign = 1 if self.take()[0] == "+" else -1
+            boolfn._convolve(self.term().items(), ((0, sign),), poly)
+        return {m: v for m, v in poly.items() if v}
+
+    def term(self) -> dict:
+        negate = self.peek()[0] == "-"
+        if negate:
+            self.take()
+        poly = self.factor()
+        while self.peek()[0] == "*":
+            self.take()
+            rhs = self.factor()
+            boolfn._check_exact_pairs(len(poly), len(rhs))
+            self.pairs += len(poly) * len(rhs)
+            if self.pairs > funcdsl._MAX_PARSE_PAIRS:
+                raise ValueError(f"exact products of the expression exceed the "
+                                 f"cap of {funcdsl._MAX_PARSE_PAIRS} term pairs in all")
+            if len(rhs) == 1 and 1 in rhs.values():
+                # times a variable: XOR with one mask is a bijection, so
+                # no two terms meet and every value stays as it is
+                [mk] = rhs
+                poly = {m ^ mk: v for m, v in poly.items()}
+            else:
+                poly = {m: v for m, v in boolfn._convolve(poly.items(), rhs.items()).items()
+                        if v}
+        return boolfn._convolve(poly.items(), ((0, -1),)) if negate else poly
+
+    def factor(self) -> dict:
+        kind, value, pos = self.take()
+        if kind == "num":
+            return {0: value} if value else {}
+        if kind == "var":
+            if value < 1:
+                raise ParseError("variable index must be at least 1", pos)
+            boolfn._check_n(value)  # before the shift builds a value-bit integer
+            self.max_var = max(self.max_var, value)
+            return {1 << (value - 1): Fraction(1)}
+        if kind == "(":
+            poly = self.expr()
+            kind, _, pos = self.take()
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            return poly
+        raise ParseError(
+            "expected a number, variable or '('"
+            + (f", got {kind!r}" if kind else ""), pos)
+
+
+def reference_parse_poly(text: str, declared_n: int | None = None) -> MultilinearPolynomial:
+    """``funcdsl.parse_poly`` as it read a text before it streamed: the
+    whole text became a list of tokens first, so any character error was
+    raised before any syntax error."""
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    parser = _ReferenceListParser(tokens, len(text))
+    try:
+        coeffs = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
+    if parser.i < len(tokens):
+        kind, _, pos = parser.peek()
+        raise ParseError(f"unexpected {kind!r}", pos)
+    if declared_n is not None:
+        if declared_n < 1:
+            raise ParseError(f"declared n must be positive, got {declared_n}")
+        if parser.max_var > declared_n:
+            raise ParseError(
+                f"variable x{parser.max_var} exceeds declared n={declared_n}")
+        n = declared_n
+    else:
+        n = max(parser.max_var, 1)
+    return MultilinearPolynomial(n, coeffs)
+
+
 def brute_joint(f_values, g_values):
     """Exact joint Pr(u=g, v=f) as {(u, v): Fraction} from value lists."""
     size = len(f_values)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from compwiretap import (
@@ -27,8 +27,10 @@ from helpers import (
     maj3_poly,
     maj3_table,
     random_rational_poly,
+    reference_parse_poly,
     reference_parse_table_csv,
     reference_serialize_poly,
+    reference_tokenize,
     serialize_table,
     zchannel_g_poly,
 )
@@ -323,6 +325,126 @@ def _parsed(parser_class, text: str) -> tuple:
     _exact_polynomials().map(serialize_poly)))
 def test_parse_times_a_variable_matches_the_convolution_property(text):
     assert _parsed(funcdsl._Parser, text) == _parsed(ReferenceParser, text)
+
+
+def _parse_outcome(parse, text: str) -> tuple:
+    """n and the terms ``parse`` gives ``text``, in order, with their value
+    types; or the type, message and position of its error."""
+    try:
+        poly = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return poly.n, [(mask, type(value), value)
+                    for mask, value in zip(poly.masks.tolist(), poly.values.tolist())]
+
+
+#: Valid texts: random expressions and canonical texts of exact polynomials,
+#: with each space written as any run of whitespace, none included.
+_VALID_TEXTS = st.one_of(
+    st.integers(1, 6).flatmap(_expressions).map(lambda case: case[0]),
+    _exact_polynomials().map(serialize_poly),
+).flatmap(lambda text: st.lists(
+    st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n "]),
+    min_size=text.count(" "), max_size=text.count(" ")).map(
+        lambda spaces: "".join(piece + space for piece, space in
+                               zip(text.split(" "), [*spaces, ""]))))
+
+
+@settings(max_examples=300)
+@given(_VALID_TEXTS)
+def test_parse_matches_the_list_parser_on_valid_texts_property(text):
+    assert _parse_outcome(parse_poly, text)[0] != ParseError
+    assert _parse_outcome(parse_poly, text) == _parse_outcome(reference_parse_poly, text)
+
+
+@settings(max_examples=300)
+@given(_VALID_TEXTS, st.sampled_from("$@#!?;&^'é"), st.integers(0))
+def test_parse_matches_the_list_parser_on_one_character_error_property(text, bad, at):
+    # what precedes the character is a prefix of a valid text, whose last
+    # token may be cut short, so both parsers reach the character first
+    at %= len(text) + 1
+    text = text[:at] + bad + text[at:]
+    outcome = _parse_outcome(parse_poly, text)
+    assert outcome[0] == ParseError
+    assert outcome == _parse_outcome(reference_parse_poly, text)
+
+
+@settings(max_examples=300)
+@given(_VALID_TEXTS, st.sampled_from(["+", "-", "*", "(", ")", "", "1", "x2"]),
+       st.integers(0), st.integers(0, 2))
+def test_parse_matches_the_list_parser_on_syntax_errors_property(text, insert, at, cut):
+    # one insertion and one cut: a syntax error or none, and no character error
+    at %= len(text) + 1
+    text = text[:at] + insert + text[at + cut:]
+    try:
+        reference_tokenize(text)
+    except ParseError:
+        assume(False)
+    assert _parse_outcome(parse_poly, text) == _parse_outcome(reference_parse_poly, text)
+
+
+@pytest.mark.parametrize("text, error, message, listed", [
+    ("x1 x2 $", ParseError, "unexpected 'var' (at position 3)",
+     "unexpected character '$' (at position 6)"),
+    ("x30 + $", ValueError, "n = 30 exceeds the dense enumeration cap of 24",
+     "unexpected character '$' (at position 6)"),
+    ("x1 + * y", ParseError, "expected a number, variable or '(', got '*' (at position 5)",
+     "unexpected character 'y' (at position 7)"),
+])
+def test_parse_reports_the_first_error_in_text_order(text, error, message, listed):
+    # the list parser raised any character error before any syntax error
+    assert _parse_outcome(parse_poly, text)[:2] == (error, message)
+    assert _parse_outcome(reference_parse_poly, text)[:2] == (ParseError, listed)
+
+
+def _dense_canonical_text(n: int) -> str:
+    rng = np.random.default_rng(n)
+    return serialize_poly(wht(TruthTable(n, rng.integers(-8, 9, 1 << n) / 4)))
+
+
+def test_parse_of_a_dense_canonical_text_holds_no_token_list():
+    text = _dense_canonical_text(12)
+    assert len(text) > 100_000
+    tracemalloc.start()
+    try:
+        poly = parse_poly(text, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert poly.masks.size > 4000
+    # the list parser held every token at once: 6.5 MiB
+    assert peak < 2 << 20
+
+
+def test_parse_refuses_at_the_pair_cap_without_reading_the_tail(monkeypatch):
+    monkeypatch.setattr(funcdsl, "_MAX_PARSE_PAIRS", 11)
+    # the second product passes the cap; a million tokens follow it
+    text = "(x1 + x2 + x3)*(x1 + x2 + x3)*(x1 + x2 + x3)" + " + x1" * 500_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^exact products of the expression "
+                                             r"exceed the cap of 11 term pairs in all$"):
+            parse_poly(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("opening", ["(", " ( ", "(\n\t", "x1*x2 - (", "(x1 + "])
+def test_nesting_error_names_the_position_the_list_parser_names(opening):
+    # the position is the next token's, pulled or not; both parsers are
+    # called at one stack depth, where each '(' costs them the same frames
+    text = opening * 2000 + "x1" + ")" * 2000
+    assert _parse_outcome(parse_poly, text) == _parse_outcome(reference_parse_poly, text)
+    assert _parse_outcome(parse_poly, text)[1].startswith("expression nests too deeply")
+
+
+def test_nesting_error_comes_before_a_later_character_error():
+    text = "(" * 2000 + "x1 $" + ")" * 2000
+    assert _parse_outcome(parse_poly, text)[1].startswith("expression nests too deeply")
+    assert _parse_outcome(reference_parse_poly, text)[1] == (
+        "unexpected character '$' (at position 2003)")
 
 
 @st.composite
