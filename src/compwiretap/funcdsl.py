@@ -62,7 +62,7 @@ class ParseError(ValueError):
 _DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)"
 
 _TOKEN_RE = re.compile(rf"""
-    (?: (?P<ws>\s+)
+    (?: (?P<ws>\s+)  # only at the start, where no token's match took it
       | (?P<frac>(?P<numer>\d+)/(?P<denom>\d+))
       | (?P<num>{_DECIMAL}(?:[eE][+-]?(?P<exp>\d+))?)
       | (?P<var>x(?P<index>\d+))
