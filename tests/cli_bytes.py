@@ -41,7 +41,17 @@ their table files into a temporary directory, and a third group,
   Var > 1/4 and on one where only g is not ±1, so each reason and
   refusal is compared;
 * ``analyze`` of a JSON table with an entry that is no number and of an
-  expression nested 330 parentheses deep (exit code 1 each).
+  expression nested 330 parentheses deep (exit code 1 each);
+* ``analyze`` of the canonical text of a dense quarter-valued n=12
+  table, given as an ``@file``, which the expression parser reads in one
+  pass;
+* ``analyze`` of three expressions that hold a syntax error ahead of
+  another error, ``x1 x2 $``, ``x30 + $`` and ``x1 + * y`` (the parser
+  reports the first error in text order);
+* ``lemmas`` on ``x1`` against ``1e154*x1``, whose bound 4 * eps is
+  beyond float range (exit code 1);
+* ``analyze`` of JSON tables with a string and a bool entry, and with a
+  null entry (exit code 1 each).
 
 The ``extra`` group is answered a second time, as ``extra_1core``, by
 processes pinned to one core, so every pooled loop takes its one-worker
@@ -72,6 +82,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +91,7 @@ import numpy as np
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import oracle  # noqa: E402
 import workloads  # noqa: E402
 
 # Run in a fresh interpreter with argv [tree, requests.json]: prints the
@@ -207,12 +219,25 @@ def extra(seed: int, directory: str) -> list:
         argvs += [[command, "--f", f, "--g", g, *more] for command, more in
                   (("lemmas", []), ("channel", []),
                    ("invariance", ["--samples", "10000"]))]
+    # the canonical text of a dense table: terms by (subset size, mask)
+    coeffs = oracle.fwht(rng.integers(-8, 9, 1 << 12) / 4) / (1 << 12)
+    terms = [workloads.expression({mask: Fraction(value)})
+             for mask, value in sorted(enumerate(coeffs.tolist()),
+                                       key=lambda term: (term[0].bit_count(), term[0]))
+             if value]
+    dense = terms[0] + "".join(f" - {term[1:]}" if term[0] == "-" else f" + {term}"
+                               for term in terms[1:])
     for name, text in (("entry1.json", '{"n": 1, "values": [{"a": 1}, 1]}'),
-                       ("deep330.txt", "(" * 330 + "x1" + ")" * 330 + "\n")):
+                       ("deep330.txt", "(" * 330 + "x1" + ")" * 330 + "\n"),
+                       ("dense12.txt", dense),
+                       ("string1.json", '{"n": 1, "values": ["0.5", true]}'),
+                       ("null1.json", '{"n": 1, "values": [0.5, null]}')):
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         argvs.append(["analyze", "--f", "@" + path])
+    argvs += [["analyze", "--f", text] for text in ("x1 x2 $", "x30 + $", "x1 + * y")]
+    argvs.append(["lemmas", "--f", "x1", "--g", "1e154*x1"])
     return argvs
 
 
