@@ -125,10 +125,17 @@ def _terms(n: int, masks, values) -> tuple:
     """Validated, read-only ``(masks, values)`` without zero terms.
 
     Every construction of a polynomial goes through here, and the arrays
-    returned are its own.  A float64 array of values is checked with
-    whole-array passes; any other values, such as exact ones, are checked
-    one by one and kept as given in an object array unless all are floats.
+    returned are its own.  Masks not in an integer array must equal their
+    ``int``, and values not in a float64 array must be reals, which are
+    kept as given in an object array unless all are floats.
     """
+    if not (isinstance(masks, np.ndarray) and masks.dtype.kind in "iu"):
+        keys = masks.tolist() if isinstance(masks, np.ndarray) else list(masks)
+        masks = list(map(int, keys))
+        # a key such as 1.5 would truncate onto another term's mask
+        for key, mask in zip(keys, masks):
+            if key != mask:
+                raise ValueError(f"mask {key!r} is not an integer")
     try:
         masks = np.array(masks, dtype=np.int64)
     except OverflowError:
@@ -137,7 +144,7 @@ def _terms(n: int, masks, values) -> tuple:
         bad = masks[np.flatnonzero(masks >> n)[0]]
         raise ValueError(f"mask {bad} does not fit in n={n} bits")
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        values = values.copy()
+        values, kinds = values.copy(), {float}
     else:
         values = values.tolist() if isinstance(values, np.ndarray) else list(values)
         kinds = set(map(type, values))
@@ -146,27 +153,19 @@ def _terms(n: int, masks, values) -> tuple:
             if kind not in _REALS and not issubclass(kind, Real):
                 bad = next(v for v in values if type(v) is kind)
                 raise ValueError(f"coefficient {bad!r} is not a real number")
-        if all(issubclass(kind, float) for kind in kinds):
-            values = np.array(values, dtype=np.float64)
-        else:
-            inexact = {kind for kind in kinds if not issubclass(kind, Rational)}
-            for mask, value in zip(masks.tolist(), values) if inexact else ():
-                if type(value) in inexact and not math.isfinite(value):
-                    raise ValueError(
-                        f"coefficient for mask {mask} is not finite")
-            if 0 in values:
-                keep = [value != 0 for value in values]
-                masks = masks[keep]
-                values = [value for value, kept in zip(values, keep) if kept]
-            values = np.array(values, dtype=object)
-    if values.dtype == np.float64:
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValueError(
-                f"coefficient for mask {masks[np.argmin(finite)]} is not finite")
-        keep = values != 0
-        if not keep.all():
-            masks, values = masks[keep], values[keep]
+        floats = all(issubclass(kind, float) for kind in kinds)
+        values = np.array(values, dtype=np.float64 if floats else object)
+    # exact values are finite, so only inexact ones are read one by one
+    inexact = {kind for kind in kinds if not issubclass(kind, Rational)}
+    finite = (np.isfinite(values) if values.dtype == np.float64 else
+              [type(v) not in inexact or math.isfinite(v) for v in values.tolist()]
+              if inexact else True)
+    if not np.all(finite):
+        raise ValueError(
+            f"coefficient for mask {masks[np.argmin(finite)]} is not finite")
+    keep = values != 0
+    if not keep.all():
+        masks, values = masks[keep], values[keep]
     masks.flags.writeable = False
     values.flags.writeable = False
     return masks, values
@@ -191,12 +190,7 @@ class MultilinearPolynomial:
         values)`` pair of parallel arrays."""
         n = _check_n(n)
         if isinstance(coeffs, Mapping):
-            masks = list(map(int, coeffs))
-            # a key such as 1.5 would truncate onto another term's mask
-            for key, mask in zip(coeffs, masks):
-                if key != mask:
-                    raise ValueError(f"mask {key!r} is not an integer")
-            coeffs = masks, coeffs.values()
+            coeffs = coeffs.keys(), coeffs.values()
         masks, values = _terms(n, *coeffs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", masks)

@@ -8,6 +8,7 @@ import concurrent.futures
 import json
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 from numbers import Rational, Real
@@ -807,6 +808,72 @@ def reference_join_terms(masks, negative, texts, which) -> str:
             parts.append(name)
     parts[0] = "-" if negative[0] else ""
     return "".join(parts)
+
+
+_REALS = (float, Fraction, int)
+
+
+def reference_keys(keys) -> list:
+    """The mapping form's masks: the ``int`` of each key, which must equal
+    it."""
+    masks = list(map(int, keys))
+    # a key such as 1.5 would truncate onto another term's mask
+    for key, mask in zip(keys, masks):
+        if key != mask:
+            raise ValueError(f"mask {key!r} is not an integer")
+    return masks
+
+
+def reference_terms(n: int, coeffs) -> tuple:
+    """The ``(masks, values)`` that a polynomial held when its constructor
+    kept two copies of its rules, kept as an oracle: the mapping form's
+    integer check of the keys, then one path for float64 values and one,
+    with its own finiteness check and zero filter, for any other values.
+    The pair form's masks were cast to int64 unchecked."""
+    if isinstance(coeffs, Mapping):
+        coeffs = reference_keys(coeffs), coeffs.values()
+    masks, values = coeffs
+    try:
+        masks = np.array(masks, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"a mask does not fit in n={n} bits") from None
+    if masks.size and np.bitwise_or.reduce(masks) >> n:  # also if negative
+        bad = masks[np.flatnonzero(masks >> n)[0]]
+        raise ValueError(f"mask {bad} does not fit in n={n} bits")
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        values = values.copy()
+    else:
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        kinds = set(map(type, values))
+        for kind in kinds:
+            # exact types first: the ABC check of Real is slow
+            if kind not in _REALS and not issubclass(kind, Real):
+                bad = next(v for v in values if type(v) is kind)
+                raise ValueError(f"coefficient {bad!r} is not a real number")
+        if all(issubclass(kind, float) for kind in kinds):
+            values = np.array(values, dtype=np.float64)
+        else:
+            inexact = {kind for kind in kinds if not issubclass(kind, Rational)}
+            for mask, value in zip(masks.tolist(), values) if inexact else ():
+                if type(value) in inexact and not math.isfinite(value):
+                    raise ValueError(
+                        f"coefficient for mask {mask} is not finite")
+            if 0 in values:
+                keep = [value != 0 for value in values]
+                masks = masks[keep]
+                values = [value for value, kept in zip(values, keep) if kept]
+            values = np.array(values, dtype=object)
+    if values.dtype == np.float64:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(
+                f"coefficient for mask {masks[np.argmin(finite)]} is not finite")
+        keep = values != 0
+        if not keep.all():
+            masks, values = masks[keep], values[keep]
+    masks.flags.writeable = False
+    values.flags.writeable = False
+    return masks, values
 
 
 class DictPolynomial:

@@ -42,6 +42,8 @@ from helpers import (
     random_rational_poly,
     reference_butterfly,
     reference_evaluate_batch,
+    reference_keys,
+    reference_terms,
     reference_values,
     refuse_threads,
     table_from_function,
@@ -105,6 +107,102 @@ def test_polynomial_coefficient_types():
     poly = MultilinearPolynomial(2, coeffs)
     assert poly.coeffs == {1: True, 2: 3, 3: 0.5}
     assert [type(v) for v in poly.coeffs.values()] == [bool, np.int64, np.float64]
+
+
+def test_pair_form_masks_are_integers():
+    for masks in ([1.5], ["3"], np.array([0.5]), (Fraction(1, 2),)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            MultilinearPolynomial(2, (masks, [1.0]))
+    poly = MultilinearPolynomial(2, ((True, np.int64(2), 3.0, Fraction(0)),
+                                     [1.0, 2.0, 3.0, 4.0]))
+    assert poly.masks.tolist() == [1, 2, 3, 0]
+
+
+_ODD_MASKS = st.sampled_from([-1, 16, 0.5, 1.5, float("nan"), float("inf"),
+                              Fraction(1, 2), "3", "x", 1 << 63, 1 << 70,
+                              -(1 << 70)])
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3),
+    st.booleans(), st.fractions(-2, 2, max_denominator=4),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([0, 0.0, -0.0, False, Fraction(0), np.float32(0)]))
+_ODD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                               np.float32("inf"), np.float64("nan"), "1", 1j, None])
+
+
+@st.composite
+def _term_forms(draw):
+    """``(n, coeffs)`` with masks and values in every form the
+    constructor takes: a mapping, or a pair of an int64, uint64 or float64
+    array, a list or a tuple of masks and a float64 array, an object array
+    or a list of values.  About one element in seven is odd: a mask that
+    is no integer or does not fit, or a value that is not finite or no
+    real."""
+    n = draw(st.integers(1, 4))
+    size = draw(st.integers(0, 6))
+    fit = st.integers(0, (1 << n) - 1)
+    form = draw(st.sampled_from(["int64", "uint64", "float64", "list", "tuple",
+                                 "mapping"]))
+    if form == "int64":
+        elements = fit | st.sampled_from([-1, 1 << n, 1 << 62, (1 << 63) - 1])
+    elif form == "uint64":
+        elements = fit | st.sampled_from([1 << n, 1 << 63, (1 << 64) - 1])
+    elif form == "float64":
+        elements = fit.map(float) | st.sampled_from([-0.0, 0.5, 1.5, 1e30])
+    else:
+        elements = st.one_of(fit, fit.map(np.int64), fit.map(np.uint8),
+                             fit.map(float), fit.map(Fraction), st.booleans(),
+                             _ODD_MASKS)
+    masks = draw(st.lists(elements, min_size=size, max_size=size))
+    if form in ("int64", "uint64", "float64"):
+        masks = np.array(masks, dtype=form)
+    values = draw(st.sampled_from(["float64", "object", "list"]))
+    if values == "float64":
+        values = np.array(draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.just(0.0) |
+            st.sampled_from([-0.0, float("nan"), float("inf")]),
+            min_size=size, max_size=size)))
+    else:
+        items = draw(st.lists(_FINITE | _ODD_VALUES, min_size=size, max_size=size))
+        values = np.empty(size, dtype=object) if values == "object" else items
+        values[:] = items
+    if form == "mapping":
+        return n, dict(zip(masks, values))
+    return n, (tuple(masks) if form == "tuple" else masks, values)
+
+
+def _terms_outcome(build) -> tuple:
+    """The terms that ``build()`` returns, read field by field, or the type
+    and message of the error it raises."""
+    try:
+        masks, values = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (masks.dtype, masks.tolist(), masks.flags.writeable, values.dtype,
+            [(type(v), v) for v in values.tolist()], values.flags.writeable)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_term_forms())
+def test_terms_match_the_two_path_reference(form):
+    """One path for every form builds the terms the two-path constructor
+    built.  The one declared change: a pair form whose masks are not an
+    integer array now has its masks checked as a mapping's keys are."""
+    n, coeffs = form
+    expected = _terms_outcome(lambda: reference_terms(n, coeffs))
+    masks, values = (coeffs.keys(), coeffs.values()) if isinstance(coeffs, dict) else coeffs
+    if not isinstance(coeffs, dict) and not (
+            isinstance(masks, np.ndarray) and masks.dtype.kind in "iu"):
+        keys = masks.tolist() if isinstance(masks, np.ndarray) else masks
+        expected = _terms_outcome(lambda: reference_terms(n, (reference_keys(keys), values)))
+
+    def build():
+        poly = MultilinearPolynomial(n, coeffs)
+        return poly.masks, poly.values
+
+    assert _terms_outcome(build) == expected
+    assert _terms_outcome(lambda: boolfn._terms(n, masks, values)) == expected
 
 
 def test_polynomial_coefficients_are_read_only():
