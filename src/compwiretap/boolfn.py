@@ -53,7 +53,7 @@ class PreconditionError(ValueError):
 
 
 def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > MAX_N:
         raise ValueError(
@@ -520,9 +520,23 @@ def _fold(terms: np.ndarray) -> Real:
     return np.add.accumulate(terms).item(-1) if terms.size else 0
 
 
+def _square_sums(poly: MultilinearPolynomial, keeps: dict) -> list:
+    """For each ``name: keep`` of ``keeps``, the sum of f^(S)**2 over the
+    terms that the boolean array ``keep`` selects, in term order.  A float
+    square or sum beyond float range is refused with ``ValueError``, as
+    the ``name`` that is not finite."""
+    with np.errstate(over="ignore"):
+        squares = poly.values * poly.values
+        sums = [_fold(squares[keep]) for keep in keeps.values()]
+    for name, total in zip(keeps, sums):
+        if not isinstance(total, Rational) and not math.isfinite(total):
+            raise ValueError(f"the {name} is not finite: {total!r}")
+    return sums
+
+
 def variance(poly: MultilinearPolynomial) -> Real:
     """sum over nonempty S of f^(S)**2, in term order."""
-    return _fold((poly.values * poly.values)[poly.masks != 0])
+    return _square_sums(poly, {"variance": poly.masks != 0})[0]
 
 
 def influence_spectral(poly: MultilinearPolynomial, t: int) -> Real:
@@ -534,9 +548,8 @@ def influence_spectral(poly: MultilinearPolynomial, t: int) -> Real:
 
 
 def _influences(poly: MultilinearPolynomial) -> tuple:
-    squares = poly.values * poly.values
-    return tuple(_fold(squares[poly.masks & (1 << j) != 0])
-                 for j in range(poly.n))
+    return tuple(_square_sums(poly, {
+        f"influence of x{j + 1}": poly.masks & (1 << j) != 0 for j in range(poly.n)}))
 
 
 def max_influence(poly: MultilinearPolynomial) -> Real:

@@ -589,7 +589,7 @@ def _parse_table_json(text: str) -> TruthTable:
         raise ParseError("JSON table must be an object with 'n' and 'values'")
     n = obj["n"]
     values = obj["values"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f"'n' must be a positive integer, got {n!r}")
     _check_n(n)  # before 1 << n builds an n-bit integer
     if not isinstance(values, list) or len(values) != (1 << n):

@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 from compwiretap import (
     MultilinearPolynomial,
     TruthTable,
+    WiretapSpec,
+    commutes,
     degree,
     evaluate_batch,
     index_to_point,
@@ -18,6 +21,7 @@ from compwiretap import (
     influence_spectral,
     inverse_wht,
     is_boolean_function,
+    joint_distribution,
     max_influence,
     mean,
     mul,
@@ -430,6 +434,41 @@ def test_variance_examples():
     n = 6
     _, g = chain_pair_polys(n)
     assert variance(g) == Fraction(1, n)
+
+
+def test_squares_beyond_float_range_are_refused():
+    # a square, or a sum of finite squares, beyond float range: each read
+    # gave inf after a numpy overflow warning
+    table = TruthTable(1, [1e200, -1e200])
+    cases = [(wht(table), "influence of x1", "inf"),
+             (MultilinearPolynomial(2, {1: 1e154, 2: 1e154, 3: 1e154}),
+              "influence of x1", "inf"),
+             (MultilinearPolynomial(1, {1: np.float32(1e20)}),
+              "influence of x1", "np.float32(inf)")]
+    for poly, name, value in cases:
+        for read in (max_influence, influence_profile,
+                     lambda p: influence_spectral(p, 1)):
+            with pytest.raises(ValueError, match=rf"^the {name} is not finite: "
+                                                 rf"{re.escape(value)}$"):
+                read(poly)
+        with pytest.raises(ValueError, match=rf"^the variance is not finite: "
+                                             rf"{re.escape(value)}$"):
+            variance(poly)
+    # exact squares stay exact, however large
+    exact = MultilinearPolynomial(1, {1: Fraction(10 ** 200)})
+    assert variance(exact) == max_influence(exact) == 10 ** 400
+    # the channel answers read no squares
+    spec = WiretapSpec.from_tables(table, TruthTable(1, [1.0, -1.0]))
+    assert commutes(spec).commutes
+    assert joint_distribution(spec).probs.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
+def test_bool_n_is_refused():
+    # True is an int, and passed as n = 1
+    for build in (lambda: TruthTable(True, [1.0, -1.0]),
+                  lambda: MultilinearPolynomial(True, {1: 1.0})):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got True$"):
+            build()
 
 
 def test_summary_quantities():

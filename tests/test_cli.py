@@ -608,6 +608,38 @@ def test_values_beyond_float_range_print_one_error_line(argv, err):
     assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
 
 
+#: A table whose squares are beyond float range (1e200 squared).
+WIDE_TABLE = '{"n": 1, "values": [1e200, -1e200]}'
+WIDE_REQUESTS = [
+    (["analyze", "--f", "@T"], 1, "error: the influence of x1 is not finite: inf\n"),
+    (["lemmas", "--f", "x1", "--g", "@T"], 1,
+     "error: the influence of x1 is not finite: inf\n"),
+    (["invariance", "--f", "@T", "--samples", "2000"], 1,
+     "error: the influence of x1 is not finite: inf\n"),
+    # was exit 2 on the precondition Var[f] = inf exceeds 1/4
+    (["invariance", "--f", "@T", "--g", "x1", "--samples", "2000"], 1,
+     "error: the variance is not finite: inf\n"),
+    # these read no squares
+    (["channel", "--f", "@T", "--g", "x1"], 0, ""),
+    (["commute", "--f", "@T", "--g", "x1"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", WIDE_REQUESTS,
+                         ids=[" ".join(argv) for argv, _, _ in WIDE_REQUESTS])
+def test_squares_beyond_float_range_print_one_error_line(tmp_path, argv, code, err):
+    # where analyze printed Infinity, and each answer that read a square
+    # printed numpy's overflow warnings first
+    path = tmp_path / "t.json"
+    path.write_text(WIDE_TABLE)
+    argv = [f"@{path}" if arg == "@T" else arg for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "compwiretap.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (code, err)
+    assert (done.stdout == "") == (code == 1)
+
+
 def _analyze_file_in_a_process(path: Path, text: str):
     # the recursion limit counts the frames of pytest in process
     path.write_text(text)
@@ -627,6 +659,9 @@ def _analyze_file_in_a_process(path: Path, text: str):
      r"error: 'values' entry 0 is not a number, got '0\.5'\n"),
     ("null.json", '{"n": 1, "values": [0.5, null]}',
      r"error: 'values' entry 1 is not a number, got None\n"),
+    # true is an int in Python, and passed as n = 1
+    ("ntrue.json", '{"n": true, "values": [1, -1]}',
+     r"error: 'n' must be a positive integer, got True\n"),
     # 663 bytes; 200 and 300 levels answer
     ("deep330.txt", "(" * 330 + "x1" + ")" * 330 + "\n",
      r"error: expression nests too deeply \(at position \d+\)\n"),
