@@ -51,7 +51,12 @@ their table files into a temporary directory, and a third group,
 * ``lemmas`` on ``x1`` against ``1e154*x1``, whose bound 4 * eps is
   beyond float range (exit code 1);
 * ``analyze`` of JSON tables with a string and a bool entry, and with a
-  null entry (exit code 1 each).
+  null entry (exit code 1 each);
+* ``analyze``, ``lemmas``, ``invariance`` (alone and with ``--g x1``),
+  ``channel`` and ``commute`` on an n=1 JSON table of ±1e200, whose
+  squares are beyond float range (the first four exit 1; the last two
+  read no squares), and ``analyze`` of a JSON table with ``"n": true``
+  (exit code 1).
 
 The ``extra`` group is answered a second time, as ``extra_1core``, by
 processes pinned to one core, so every pooled loop takes its one-worker
@@ -231,13 +236,20 @@ def extra(seed: int, directory: str) -> list:
                        ("deep330.txt", "(" * 330 + "x1" + ")" * 330 + "\n"),
                        ("dense12.txt", dense),
                        ("string1.json", '{"n": 1, "values": ["0.5", true]}'),
-                       ("null1.json", '{"n": 1, "values": [0.5, null]}')):
+                       ("null1.json", '{"n": 1, "values": [0.5, null]}'),
+                       ("wide1.json", '{"n": 1, "values": [1e200, -1e200]}'),
+                       ("ntrue.json", '{"n": true, "values": [1, -1]}')):
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         argvs.append(["analyze", "--f", "@" + path])
     argvs += [["analyze", "--f", text] for text in ("x1 x2 $", "x30 + $", "x1 + * y")]
     argvs.append(["lemmas", "--f", "x1", "--g", "1e154*x1"])
+    wide = "@" + os.path.join(directory, "wide1.json")
+    argvs += [["lemmas", "--f", "x1", "--g", wide],
+              ["invariance", "--f", wide, "--samples", "2000"],
+              ["invariance", "--f", wide, "--g", "x1", "--samples", "2000"],
+              ["channel", "--f", wide, "--g", "x1"], ["commute", "--f", wide, "--g", "x1"]]
     return argvs
 
 
