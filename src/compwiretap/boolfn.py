@@ -132,10 +132,9 @@ def _terms(n: int, masks, values) -> tuple:
     if not (isinstance(masks, np.ndarray) and masks.dtype.kind in "iu"):
         keys = masks.tolist() if isinstance(masks, np.ndarray) else list(masks)
         masks = list(map(int, keys))
-        # a key such as 1.5 would truncate onto another term's mask
-        for key, mask in zip(keys, masks):
-            if key != mask:
-                raise ValueError(f"mask {key!r} is not an integer")
+        if keys != masks:  # a key such as 1.5 would truncate onto mask 1
+            bad = next(key for key, mask in zip(keys, masks) if key != mask)
+            raise ValueError(f"mask {bad!r} is not an integer")
     try:
         masks = np.array(masks, dtype=np.int64)
     except OverflowError:
@@ -155,14 +154,13 @@ def _terms(n: int, masks, values) -> tuple:
                 raise ValueError(f"coefficient {bad!r} is not a real number")
         floats = all(issubclass(kind, float) for kind in kinds)
         values = np.array(values, dtype=np.float64 if floats else object)
-    # exact values are finite, so only inexact ones are read one by one
     inexact = {kind for kind in kinds if not issubclass(kind, Rational)}
-    finite = (np.isfinite(values) if values.dtype == np.float64 else
-              [type(v) not in inexact or math.isfinite(v) for v in values.tolist()]
-              if inexact else True)
-    if not np.all(finite):
-        raise ValueError(
-            f"coefficient for mask {masks[np.argmin(finite)]} is not finite")
+    if inexact:  # exact values are finite
+        finite = (np.isfinite(values) if values.dtype == np.float64 else np.array(
+            [type(v) not in inexact or math.isfinite(v) for v in values.tolist()]))
+        if not finite.all():
+            raise ValueError(
+                f"coefficient for mask {masks[np.argmin(finite)]} is not finite")
     keep = values != 0
     if not keep.all():
         masks, values = masks[keep], values[keep]
